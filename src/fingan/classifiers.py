@@ -145,31 +145,50 @@ def _n_features_to_try(d, max_features):
 def best_split(X, y, feature_subset, min_samples_leaf):
     """Lowest weighted-Gini (feature, threshold); ties break on lowest
     feature index then lowest threshold. Thresholds are midpoints between
-    consecutive distinct sorted values. Returns None if nothing qualifies."""
+    consecutive distinct sorted values. Returns None if nothing qualifies.
+
+    Every boundary of every feature in the subset is scored in one 2-D
+    pass; the winner is the one a feature-major, threshold-ascending scan
+    keeps when a score must beat the best so far by more than 1e-15.
+    """
+    feats = np.sort(np.fromiter(feature_subset, dtype=np.intp))
     n = len(y)
-    best = None  # (score, feature, threshold)
-    for f in sorted(feature_subset):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        pos_cum = np.cumsum(ys)
-        distinct_ends = np.flatnonzero(xs[:-1] < xs[1:])  # split after index i
-        for i in distinct_ends:
-            n_left = i + 1
-            n_right = n - n_left
-            if n_left < min_samples_leaf or n_right < min_samples_leaf:
-                continue
-            pos_left = pos_cum[i]
-            pos_right = pos_cum[-1] - pos_left
-            pl = pos_left / n_left
-            pr = pos_right / n_right
-            score = (n_left * 2 * pl * (1 - pl) + n_right * 2 * pr * (1 - pr)) / n
-            thresh = (xs[i] + xs[i + 1]) / 2.0
-            if best is None or score < best[0] - 1e-15:
-                best = (score, f, thresh)
-    if best is None:
+    cols = X[:, feats].T  # one row per feature
+    # The sort need not be stable: a boundary lies between two distinct
+    # values, so neither its prefix count nor its midpoint depends on the
+    # order within a run of equal values.
+    order = np.argsort(cols, axis=1)
+    xs = np.take_along_axis(cols, order, axis=1)
+    pos_cum = np.cumsum(y[order], axis=1)
+    n_left = np.arange(1, n)  # boundary i splits after sorted index i
+    n_right = n - n_left
+    ok = ((xs[:, :-1] < xs[:, 1:])
+          & (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf))
+    if not ok.any():
         return None
-    return best[1], best[2], best[0]
+    pl = pos_cum[:, :-1] / n_left
+    pr = (pos_cum[:, -1:] - pos_cum[:, :-1]) / n_right
+    scores = (n_left * 2 * pl * (1 - pl) + n_right * 2 * pr * (1 - pr)) / n
+    scores = scores[ok]  # feature-major, thresholds ascending
+    j = _first_best(scores)
+    f, i = divmod(int(np.flatnonzero(ok)[j]), n - 1)
+    return int(feats[f]), (xs[f, i] + xs[f, i + 1]) / 2.0, scores[j]
+
+
+def _first_best(scores):
+    """Index a sequential scan keeps when a score replaces the best only if
+    it is lower by more than 1e-15. Without near-ties (scores above the
+    minimum but within 1e-15 of it) that is the first minimum."""
+    j = int(np.argmin(scores))
+    m = scores[j]
+    if np.count_nonzero(scores - 1e-15 <= m) == np.count_nonzero(scores == m):
+        return j
+    scores = scores.tolist()
+    best = 0
+    for j in range(1, len(scores)):
+        if scores[j] < scores[best] - 1e-15:
+            best = j
+    return best
 
 
 def _grow(X, y, depth, params, rng):
@@ -211,10 +230,19 @@ def fit_tree(X, y, params=None, seed=0):
     return FittedClassifier("tree", X.shape[1], {"root": root, "tree_params": params})
 
 
-def _tree_proba_row(node, row):
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.proba
+def _tree_proba(root, X):
+    """Leaf probability per row, routing index arrays down the tree."""
+    out = np.empty(len(X))
+    stack = [(root, np.arange(len(X)))]
+    while stack:
+        node, idx = stack.pop()
+        if node.is_leaf:
+            out[idx] = node.proba
+        elif len(idx):
+            go_left = X[idx, node.feature] <= node.threshold
+            stack.append((node.left, idx[go_left]))
+            stack.append((node.right, idx[~go_left]))
+    return out
 
 
 # --- random forest -------------------------------------------------------
@@ -323,13 +351,10 @@ def predict_proba(model, X):
     if model.kind == "logistic":
         return _sigmoid(X @ model.params["w"] + model.params["b"])
     if model.kind == "tree":
-        root = model.params["root"]
-        return np.array([_tree_proba_row(root, row) for row in X])
+        return _tree_proba(model.params["root"], X)
     if model.kind == "forest":
-        probas = np.stack([
-            np.array([_tree_proba_row(t.params["root"], row) for row in X])
-            for t in model.params["trees"]
-        ])
+        probas = np.stack([_tree_proba(t.params["root"], X)
+                           for t in model.params["trees"]])
         return probas.mean(axis=0)
     if model.kind == "mlp":
         return forward(model.params["net"], X)[-1][:, 0]
@@ -342,8 +367,6 @@ def predict_proba(model, X):
 def forest_vote(model, X, threshold=0.5):
     """Majority vote over per-tree labels, exposed alongside mean probability."""
     X = _check_rows(model, X)
-    votes = np.stack([
-        (np.array([_tree_proba_row(t.params["root"], row) for row in X]) >= threshold)
-        for t in model.params["trees"]
-    ])
+    votes = np.stack([_tree_proba(t.params["root"], X) >= threshold
+                      for t in model.params["trees"]])
     return (votes.mean(axis=0) > 0.5).astype(int)

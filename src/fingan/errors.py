@@ -89,6 +89,10 @@ class NotATree(FinganError):
     pass
 
 
+class AuditMismatch(FinganError):
+    """Balanced row counts do not reconcile with the audit's parts."""
+
+
 class ConstantColumnWarning(UserWarning):
     """A numeric column has zero spread; it is passed through unscaled."""
 

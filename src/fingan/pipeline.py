@@ -34,6 +34,7 @@ from .data_model import (
     stratified_holdout,
     stratified_kfold,
 )
+from .errors import AuditMismatch
 from .evaluation import Rule, confusion, extract_rules, metrics, t_test_auc
 from .gan import VANILLA, WGAN, GanConfig, balance_by_oversampling, train_gan
 from .ocsvm import KernelSpec, default_gamma, encode_for_kernel, undersample_majority
@@ -199,8 +200,15 @@ def balance(train, balancer, seed, preprocess_params=None):
         balanced = base
     audit["synthetic"] = synthetic
     audit["balanced_size"] = balanced.n_rows
-    assert (audit["majority_kept"] + audit["minority_before"] + synthetic
-            == balanced.n_rows)
+    # Per class, since synthetic is derived from the total: every majority
+    # row kept, every minority row plus the synthetic ones, nothing else.
+    if (balanced.n_negative != audit["majority_kept"]
+            or balanced.n_positive != audit["minority_before"] + synthetic):
+        raise AuditMismatch(
+            f"balanced table has {balanced.n_negative} majority and "
+            f"{balanced.n_positive} minority rows; the audit expects "
+            f"{audit['majority_kept']} and "
+            f"{audit['minority_before']} + {synthetic} synthetic")
     return balanced, audit, model
 
 

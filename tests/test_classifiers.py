@@ -48,6 +48,42 @@ def exhaustive_best_split(X, y, min_leaf):
     return best
 
 
+def scalar_best_split(X, y, feature_subset, min_samples_leaf):
+    """Reference: the per-feature, per-threshold scan that the vectorized
+    best_split replaced. Same arithmetic, so results must match bit for bit."""
+    n = len(y)
+    best = None  # (score, feature, threshold)
+    for f in sorted(feature_subset):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ys = y[order]
+        pos_cum = np.cumsum(ys)
+        distinct_ends = np.flatnonzero(xs[:-1] < xs[1:])  # split after index i
+        for i in distinct_ends:
+            n_left = i + 1
+            n_right = n - n_left
+            if n_left < min_samples_leaf or n_right < min_samples_leaf:
+                continue
+            pos_left = pos_cum[i]
+            pos_right = pos_cum[-1] - pos_left
+            pl = pos_left / n_left
+            pr = pos_right / n_right
+            score = (n_left * 2 * pl * (1 - pl) + n_right * 2 * pr * (1 - pr)) / n
+            thresh = (xs[i] + xs[i + 1]) / 2.0
+            if best is None or score < best[0] - 1e-15:
+                best = (score, f, thresh)
+    if best is None:
+        return None
+    return best[1], best[2], best[0]
+
+
+def per_row_proba(node, row):
+    """Reference: walk one row from the root to its leaf."""
+    while not node.is_leaf:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.proba
+
+
 class TestLogistic:
     def test_matches_independent_optimizer(self):
         from scipy.optimize import minimize
@@ -114,6 +150,53 @@ class TestTree:
         f, t, _ = best_split(X, y, range(2), min_samples_leaf=1)
         assert f == 0
         assert t == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("seed, kind", enumerate(
+        ["integer", "cents", "gaussian", "duplicated"]))
+    def test_best_split_bitwise_equals_scalar_scan(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(600):
+            n, d = int(rng.integers(2, 60)), int(rng.integers(1, 7))
+            if kind == "integer":
+                X = rng.integers(0, 4, size=(n, d)).astype(float)
+            elif kind == "cents":
+                X = np.round(rng.normal(size=(n, d)), 2)
+            elif kind == "gaussian":
+                X = rng.normal(size=(n, d))
+            else:  # exact ties across features: columns repeat
+                half = rng.integers(0, 3, size=(n, (d + 1) // 2)).astype(float)
+                X = np.hstack([half, half])[:, :d]
+            y = rng.integers(0, 2, size=n)
+            min_leaf = int(rng.integers(1, 6))
+            subset = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+            assert (best_split(X, y, subset, min_leaf)
+                    == scalar_best_split(X, y, subset, min_leaf))
+
+    def test_near_tie_keeps_scan_order(self):
+        # Feature 0 at 1.5 and feature 1 at 4.5 both score 0.4 exactly, but
+        # in floating point feature 1 comes out one ulp lower. The scan keeps
+        # feature 0, since a later score must win by more than 1e-15; taking
+        # the plain minimum would pick feature 1.
+        X = np.array([[4.0, 2.0], [4.0, 0.0], [0.0, 4.0],
+                      [3.0, 3.0], [5.0, 5.0], [5.0, 3.0]])
+        y = np.array([1, 0, 0, 1, 1, 0])
+        f, t, score = best_split(X, y, range(2), min_samples_leaf=1)
+        assert (f, t, score) == scalar_best_split(X, y, range(2), 1)
+        assert (f, t) == (0, 1.5)
+        assert score == 0.4000000000000001
+        # feature 1 at 4.5: 5 rows on the left with 2 positives, 1 on the right
+        pl = 2 / 5
+        assert (5 * 2 * pl * (1 - pl) + 1 * 2 * 1.0 * (1 - 1.0)) / 6 < score
+
+    def test_batched_proba_equals_per_row_walk(self):
+        rng = np.random.default_rng(16)
+        X = np.round(rng.normal(size=(300, 5)), 1)
+        y = (X[:, 0] + rng.normal(0, 0.7, 300) > 0).astype(int)
+        model = fit_tree(X, y, TreeParams(min_samples_leaf=3, min_samples_split=6))
+        root = model.params["root"]
+        assert not root.is_leaf
+        want = [per_row_proba(root, row) for row in X]
+        np.testing.assert_array_equal(model.predict_proba(X), want)
 
     def test_pure_node_is_leaf(self):
         X = np.arange(20, dtype=float)[:, None]
@@ -211,6 +294,18 @@ class TestForest:
                                   {"trees": [stump(True), stump(True), stump(False)]})
         votes = forest_vote(forest, np.array([[1.0], [-1.0]]))
         np.testing.assert_array_equal(votes, [1, 0])
+
+    def test_batched_predictions_equal_per_row_walk(self):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(200, 4))
+        y = (X[:, 0] - X[:, 1] + rng.normal(0, 0.8, 200) > 0).astype(int)
+        forest = fit_forest(X, y, ForestParams(5, TreeParams(min_samples_leaf=2),
+                                               seed=3))
+        per_tree = np.array([[per_row_proba(t.params["root"], row) for row in X]
+                             for t in forest.params["trees"]])
+        np.testing.assert_array_equal(forest.predict_proba(X), per_tree.mean(axis=0))
+        np.testing.assert_array_equal(forest_vote(forest, X),
+                                      ((per_tree >= 0.5).mean(axis=0) > 0.5).astype(int))
 
     def test_default_hundred_trees(self):
         p = ForestParams()

@@ -6,6 +6,7 @@ import pytest
 
 import fingan.pipeline as pipeline
 from fingan.data_model import Schema, stratified_kfold
+from fingan.errors import AuditMismatch
 from fingan.fixtures import mixed_imbalanced, table_to_csv
 from fingan.pipeline import (
     BalancerSettings,
@@ -102,6 +103,20 @@ class TestBalance:
         a, _, _ = balance(table, plain, seed=4)
         b, _, _ = balance(table, hybrid, seed=4)
         assert row_multiset(a) == row_multiset(b)
+
+    def test_dropped_row_raises_audit_mismatch(self, monkeypatch):
+        table = mixed_imbalanced(90, 10, seed=0)
+        original = pipeline.balance_by_oversampling
+
+        def drop_one_majority_row(train, model, target, seed):
+            balanced = original(train, model, target, seed=seed)
+            first_majority = np.flatnonzero(balanced.y == 0)[0]
+            return balanced.subset(np.delete(np.arange(balanced.n_rows), first_majority))
+
+        monkeypatch.setattr(pipeline, "balance_by_oversampling", drop_one_majority_row)
+        settings = BalancerSettings(oversampler="gan", epochs=3, batch_size=8)
+        with pytest.raises(AuditMismatch):
+            balance(table, settings, seed=0)
 
     def test_none_balancer_identity(self):
         table = mixed_imbalanced(30, 10, seed=3)
