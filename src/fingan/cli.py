@@ -55,15 +55,16 @@ def cmd_train_gan(args):
     schema = Schema.from_json(args.schema)
     table = load_csv(args.csv, schema)
     minority = table.positives()
+    # without --epochs each config keeps its own default
+    epochs = {} if args.epochs is None else {"epochs": args.epochs}
     if args.gan == "ctgan":
-        config = CtganConfig(epochs=args.epochs, batch_size=args.batch_size,
-                             latent_dim=args.latent_dim, seed=args.seed)
+        config = CtganConfig(batch_size=args.batch_size,
+                             latent_dim=args.latent_dim, seed=args.seed, **epochs)
         model = train_ctgan(minority, config)
     else:
         mode = "vanilla" if args.gan == "gan" else "wgan"
-        config = GanConfig(mode=mode, epochs=args.epochs,
-                           batch_size=args.batch_size,
-                           latent_dim=args.latent_dim, seed=args.seed)
+        config = GanConfig(mode=mode, batch_size=args.batch_size,
+                           latent_dim=args.latent_dim, seed=args.seed, **epochs)
         model = train_gan(minority, config)
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(model.to_dict(), f)
@@ -146,7 +147,8 @@ def build_parser():
     p.add_argument("--csv", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--gan", choices=["gan", "wgan", "ctgan"], default="gan")
-    p.add_argument("--epochs", type=int, default=3000)
+    p.add_argument("--epochs", type=int, default=None,
+                   help="training epochs (default: 300 for ctgan, 3000 otherwise)")
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--latent-dim", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)

@@ -8,6 +8,7 @@ are drawn from rows matching the sampled condition so rare categories stay
 represented. The adversarial loop itself follows the WGAN critic recipe.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,6 +40,8 @@ WEIGHT_PRUNE = 0.005
 ALPHA_SCALE = 4.0
 EM_MAX_ITERS = 200
 EM_TOL = 1e-8
+# Generator.choice's tolerance on the sum of p for float64 probabilities
+CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -82,71 +85,104 @@ def _kmeanspp_centers(values, k, rng):
 
 
 def fit_mode_normalizer(values, max_modes=MAX_MODES, seed=0):
-    """Gaussian mixture for one continuous column.
+    """Gaussian mixture per continuous column.
 
-    EM is run from a k-means++ initialization for every component count up
-    to max_modes; the count is selected by BIC, then components below the
-    weight-prune threshold are dropped and the weights renormalized. This
-    keeps redundant components from surviving on well-separated clusters.
+    ``values`` is one column, which returns one ModeNormalizer, or an (n, c)
+    matrix with one seed per column in ``seed``, which returns a list of c.
+    Per column, EM is run from a k-means++ initialization for every
+    component count up to max_modes; the count is selected by BIC, then
+    components below the weight-prune threshold are dropped and the weights
+    renormalized. This keeps redundant components from surviving on
+    well-separated clusters. All columns are fitted together, and each
+    column's result is the one a fit of that column alone gives.
     """
     values = np.asarray(values, dtype=float)
-    floor = _sigma_floor(values)
-    distinct = np.unique(values)
-    if len(distinct) < 2:
-        return ModeNormalizer(np.array([1.0]), np.array([float(values[0])]),
-                              np.array([floor]))
+    if values.ndim == 1:
+        return fit_mode_normalizer(values[:, None], max_modes, [seed])[0]
+    columns = np.ascontiguousarray(values.T)
+    n = columns.shape[1]
+    floors = np.array([_sigma_floor(v) for v in columns])
+    distinct = [len(np.unique(v)) for v in columns]
+    counts = [min(max_modes, d) for d in distinct]
+    # a column with one distinct value gets one mode and no fit; for the
+    # others the k-means++ centers for count k are the first k of the
+    # centers drawn for the largest count, as each fit seeds a fresh stream
+    fitted = [i for i, d in enumerate(distinct) if d >= 2]
+    centers = {i: _kmeanspp_centers(columns[i], counts[i],
+                                    np.random.default_rng(seed[i]))
+               for i in fitted}
+    std0 = {i: max(columns[i].std(), floors[i]) for i in fitted}
+    best = {}
+    for k in range(1, max((counts[i] for i in fitted), default=0) + 1):
+        idx = np.array([i for i in fitted if counts[i] >= k])
+        fit = _fit_em(columns[idx], np.array([centers[i][:k] for i in idx]),
+                      np.array([np.full(k, std0[i]) for i in idx]), floors[idx])
+        for r, i in enumerate(idx):
+            bic = -2.0 * fit[3][r][-1] + (3 * k - 1) * np.log(n)
+            if i not in best or bic < best[i][0] - 1e-9:
+                best[i] = (bic, fit[0][r], fit[1][r], fit[2][r], fit[3][r])
 
-    best = None
-    for k in range(1, min(max_modes, len(distinct)) + 1):
-        fit = _fit_em(values, k, floor, seed)
-        n_params = 3 * k - 1
-        bic = -2.0 * fit[3][-1] + n_params * np.log(len(values))
-        if best is None or bic < best[0] - 1e-9:
-            best = (bic, fit)
-    weights, means, stds, loglik_history = best[1]
+    out = []
+    for i, col in enumerate(columns):
+        if i not in best:
+            out.append(ModeNormalizer(np.array([1.0]), np.array([float(col[0])]),
+                                      np.array([floors[i]])))
+            continue
+        _, weights, means, stds, loglik_history = best[i]
+        keep = weights >= WEIGHT_PRUNE
+        if not keep.any():
+            keep = weights == weights.max()
+        weights, means, stds = weights[keep], means[keep], stds[keep]
+        weights = weights / weights.sum()
+        order = np.argsort(means)
+        out.append(ModeNormalizer(weights[order], means[order], stds[order],
+                                  loglik_history))
+    return out
 
-    keep = weights >= WEIGHT_PRUNE
-    if not keep.any():
-        keep = weights == weights.max()
-    weights, means, stds = weights[keep], means[keep], stds[keep]
-    weights = weights / weights.sum()
-    order = np.argsort(means)
-    return ModeNormalizer(weights[order], means[order], stds[order], loglik_history)
 
+def _fit_em(values, means, stds, floors):
+    """EM on c columns at once: values (c, n), initial means and stds (c, k).
 
-def _fit_em(values, k, floor, seed):
-    rng = np.random.default_rng(seed)
-    means = _kmeanspp_centers(values, k, rng)
-    stds = np.full(k, max(values.std(), floor))
-    weights = np.full(k, 1.0 / k)
-
-    loglik_history = []
-    prev = -np.inf
+    Each column runs the arithmetic of a one-column fit, elementwise and
+    with every reduction over the same contiguous run in the same order,
+    and stops updating at the iteration where a fit of it alone would stop.
+    Returns weights, means and stds (c, k) and c loglik histories.
+    """
+    c, n = values.shape
+    k = means.shape[1]
+    weights = np.full((c, k), 1.0 / k)
+    histories = [[] for _ in range(c)]
+    prev = np.full(c, -np.inf)
+    live = np.arange(c)
     for _ in range(EM_MAX_ITERS):
+        x = values[live][:, :, None]
         # E step
         log_pdf = (
-            -0.5 * ((values[:, None] - means[None, :]) / stds[None, :]) ** 2
-            - np.log(stds[None, :])
+            -0.5 * ((x - means[live][:, None, :]) / stds[live][:, None, :]) ** 2
+            - np.log(stds[live][:, None, :])
             - 0.5 * np.log(2 * np.pi)
         )
-        log_w = np.log(np.maximum(weights, 1e-300))
-        joint = log_pdf + log_w[None, :]
-        row_max = joint.max(axis=1, keepdims=True)
-        lse = row_max[:, 0] + np.log(np.exp(joint - row_max).sum(axis=1))
-        loglik = float(lse.sum())
-        loglik_history.append(loglik)
-        resp = np.exp(joint - lse[:, None])
+        log_w = np.log(np.maximum(weights[live], 1e-300))
+        joint = log_pdf + log_w[:, None, :]
+        row_max = joint.max(axis=2, keepdims=True)
+        lse = row_max[:, :, 0] + np.log(np.exp(joint - row_max).sum(axis=2))
+        loglik = lse.sum(axis=1)
+        for i, ll in zip(live, loglik):
+            histories[i].append(float(ll))
+        resp = np.exp(joint - lse[:, :, None])
         # M step
-        nk = resp.sum(axis=0)
+        nk = resp.sum(axis=1)
         safe = np.maximum(nk, 1e-12)
-        weights = nk / len(values)
-        means = (resp * values[:, None]).sum(axis=0) / safe
-        var = (resp * (values[:, None] - means[None, :]) ** 2).sum(axis=0) / safe
-        stds = np.maximum(np.sqrt(var), floor)
-        if loglik - prev < EM_TOL and np.isfinite(prev):
+        weights[live] = nk / n
+        means[live] = (resp * x).sum(axis=1) / safe
+        var = (resp * (x - means[live][:, None, :]) ** 2).sum(axis=1) / safe
+        stds[live] = np.maximum(np.sqrt(var), floors[live][:, None])
+        done = (loglik - prev[live] < EM_TOL) & np.isfinite(prev[live])
+        prev[live] = loglik
+        live = live[~done]
+        if len(live) == 0:
             break
-        prev = loglik
-    return weights, means, stds, loglik_history
+    return weights, means, stds, histories
 
 
 def _mode_posteriors(values, norm):
@@ -197,11 +233,32 @@ class CondVector:
 
 @dataclass
 class DiscreteStats:
-    """Per discrete column: schema index, level count, observed frequencies."""
+    """Per discrete column: schema index, level count, observed frequencies.
+
+    ``cdfs`` holds, per column, the cdf that ``Generator.choice`` builds from
+    the column's log(1 + frequency) category probabilities. The probabilities
+    are validated once here the way ``choice`` validates them on every call:
+    finite, non-negative and summing to 1 within its tolerance; a failure
+    raises ValueError.
+    """
 
     columns: list  # schema column indices
     frequencies: list  # one count array per column
     offsets: list  # start of each column's block in the flattened cond vector
+    cdfs: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.cdfs = []
+        for freq in self.frequencies:
+            logf = np.log1p(freq)
+            total = logf.sum()
+            probs = logf / total if total > 0 else np.full(len(logf), 1.0 / len(logf))
+            if not (np.all(np.isfinite(probs) & (probs >= 0))
+                    and abs(math.fsum(probs) - 1.0) <= CHOICE_ATOL):
+                raise ValueError(f"category probabilities {probs} are not a distribution")
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            self.cdfs.append(cdf)
 
     @property
     def total_width(self):
@@ -223,18 +280,30 @@ def build_discrete_stats(table):
 
 def sample_condvec(stats, seed=None, rng=None):
     """Uniform column choice, log(1 + frequency) category choice."""
-    if not stats.columns:
-        raise NoDiscreteColumns("dataset has no discrete columns to condition on")
     if rng is None:
         rng = np.random.default_rng(seed)
-    ci = rng.integers(len(stats.columns))
-    logf = np.log1p(stats.frequencies[ci])
-    total = logf.sum()
-    probs = logf / total if total > 0 else np.full(len(logf), 1.0 / len(logf))
-    cat = rng.choice(len(probs), p=probs)
-    onehot = np.zeros(stats.total_width)
-    onehot[stats.offsets[ci] + cat] = 1.0
-    return CondVector(stats.columns[ci], int(cat), onehot)
+    cols, cats, onehot = _sample_cond_batch(stats, 1, rng)
+    return CondVector(stats.columns[cols[0]], int(cats[0]), onehot[0])
+
+
+def _sample_cond_batch(stats, b, rng):
+    """Batched condition draw; returns (columns, categories, onehot matrix).
+
+    Takes the values a per-row ``rng.choice(p=...)`` loop would take from
+    the stream, in the same order: b column indices, then b uniforms, each
+    looked up in its column's cdf as ``choice`` looks it up.
+    """
+    if not stats.columns:
+        raise NoDiscreteColumns("dataset has no discrete columns to condition on")
+    cols = rng.integers(len(stats.columns), size=b)
+    uniforms = rng.random(b)
+    cats = np.empty(b, dtype=int)
+    for ci, cdf in enumerate(stats.cdfs):
+        rows = cols == ci
+        cats[rows] = cdf.searchsorted(uniforms[rows], side="right")
+    onehot = np.zeros((b, stats.total_width))
+    onehot[np.arange(b), np.asarray(stats.offsets)[cols] + cats] = 1.0
+    return cols, cats, onehot
 
 
 @dataclass
@@ -383,18 +452,44 @@ class CtganModel:
         )
 
 
-def _sample_cond_batch(stats, b, rng):
-    """Batched condition draw; returns (columns, categories, onehot matrix)."""
-    cols = rng.integers(len(stats.columns), size=b)
-    cats = np.empty(b, dtype=int)
-    onehot = np.zeros((b, stats.total_width))
-    for i, ci in enumerate(cols):
-        logf = np.log1p(stats.frequencies[ci])
-        total = logf.sum()
-        probs = logf / total if total > 0 else np.full(len(logf), 1.0 / len(logf))
-        cats[i] = rng.choice(len(probs), p=probs)
-        onehot[i, stats.offsets[ci] + cats[i]] = 1.0
-    return cols, cats, onehot
+def _condition_buckets(X, stats):
+    """Rows of X grouped by flattened (column, category) condition position.
+
+    Returns (rows, starts, sizes): bucket g is ``rows[starts[g]:][:sizes[g]]``,
+    ascending, for training-by-sampling.
+    """
+    groups = [np.flatnonzero(X[:, j].astype(int) == cat)
+              for j, freq in zip(stats.columns, stats.frequencies)
+              for cat in range(len(freq))]
+    sizes = np.array([len(g) for g in groups], dtype=int)
+    return np.concatenate(groups), np.cumsum(sizes) - sizes, sizes
+
+
+def _sample_bucket_rows(buckets, flat, n_real, rng):
+    """One real row per condition: uniform within its bucket.
+
+    ``buckets`` is (rows, starts, sizes) over the flattened condition
+    positions ``flat``; an empty bucket draws from all ``n_real`` rows. One
+    bounded-integer draw per row, in row order, as a per-row
+    ``rng.choice(bucket)`` / ``rng.integers(n_real)`` loop draws them.
+    """
+    rows, starts, sizes = buckets
+    size = sizes[flat]
+    draws = rng.integers(0, np.where(size > 0, size, n_real))
+    hit = size > 0
+    draws[hit] = rows[starts[flat[hit]] + draws[hit]]
+    return draws
+
+
+def _condition_loss(fake, hot, grad_fake):
+    """Cross-entropy pushing row i's conditioned column toward category
+    position ``hot[i]``: adds its gradient into ``grad_fake`` and returns the
+    batch mean, with the per-row terms summed in row order."""
+    b = len(hot)
+    rows = np.arange(b)
+    p = np.maximum(fake[rows, hot], nn_core.PROB_EPS)
+    grad_fake[rows, hot] += -1.0 / (p * b)
+    return -np.cumsum(np.log(p))[-1] / b
 
 
 def train_ctgan(minority, config):
@@ -406,10 +501,10 @@ def train_ctgan(minority, config):
 
     rng = np.random.default_rng(config.seed)
     schema = minority.schema
-    normalizers = {
-        j: fit_mode_normalizer(minority.X[:, j], config.max_modes, config.seed + j)
-        for j in schema.numeric_indices
-    }
+    numeric = schema.numeric_indices
+    normalizers = dict(zip(numeric, fit_mode_normalizer(
+        minority.X[:, numeric], config.max_modes,
+        [config.seed + j for j in numeric])))
     blocks, enc_width = _build_ctgan_layout(schema, normalizers)
     real = _encode_table(minority, normalizers, blocks, enc_width, rng)
 
@@ -417,13 +512,9 @@ def train_ctgan(minority, config):
     cond_dim = stats.total_width if stats.columns else 0
     conditioned = cond_dim > 0
 
-    # rows grouped by (column, category) for training-by-sampling
-    buckets = {}
     if conditioned:
-        for ci, j in enumerate(stats.columns):
-            col = minority.X[:, j].astype(int)
-            for cat in range(len(stats.frequencies[ci])):
-                buckets[(ci, cat)] = np.flatnonzero(col == cat)
+        buckets = _condition_buckets(minority.X, stats)
+        offsets = np.asarray(stats.offsets)
 
     layout_view = _LayoutView(blocks)
     trunk, heads = _build_ctgan_generator(config.latent_dim, cond_dim, blocks,
@@ -432,11 +523,11 @@ def train_ctgan(minority, config):
 
     critic = build_discriminator(enc_width + cond_dim, "wgan", config.seed + 1)
 
-    # block lookup by schema column for the condition penalty
-    cond_block = {}
-    for ci, j in enumerate(stats.columns):
-        cond_block[ci] = next(b for b in blocks
-                              if b.kind == "categorical" and b.column == j)
+    # start of each discrete column's block in the encoding, for the
+    # condition penalty
+    block_offset = np.array([
+        next(b.offset for b in blocks if b.kind == "categorical" and b.column == j)
+        for j in stats.columns], dtype=int)
 
     steps_per_epoch = max(1, minority.n_rows // config.batch_size)
     c_hist, g_hist = [], []
@@ -449,11 +540,8 @@ def train_ctgan(minority, config):
             for _ in range(config.critic_steps):
                 if conditioned:
                     cols, cats, cond = _sample_cond_batch(stats, b, rng)
-                    ridx = np.array([
-                        rng.choice(buckets[(ci, cat)])
-                        if len(buckets[(ci, cat)]) else rng.integers(len(real))
-                        for ci, cat in zip(cols, cats)
-                    ])
+                    ridx = _sample_bucket_rows(buckets, offsets[cols] + cats,
+                                               len(real), rng)
                 else:
                     cond = np.zeros((b, 0))
                     ridx = rng.integers(0, len(real), size=b)
@@ -486,14 +574,7 @@ def train_ctgan(minority, config):
             grad_fake = grad_in[:, :enc_width]
 
             if conditioned:
-                # cross-entropy pushing the conditioned column toward its category
-                ce = 0.0
-                for i in range(b):
-                    blk = cond_block[cols[i]]
-                    p = max(fake[i, blk.offset + cats[i]], nn_core.PROB_EPS)
-                    ce -= np.log(p)
-                    grad_fake[i, blk.offset + cats[i]] += -1.0 / (p * b)
-                g_loss += ce / b
+                g_loss += _condition_loss(fake, block_offset[cols] + cats, grad_fake)
 
             generator_backward_step(trunk, heads, layout_view, trunk_acts,
                                     head_acts, grad_fake, config.adam)

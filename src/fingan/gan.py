@@ -360,6 +360,16 @@ def sample_synthetic(model, n, seed):
     return decode_from_gan(encoded, model.layout, model.schema, label=1)
 
 
+def synthetic_count(train, target="parity"):
+    """Synthetic rows a balancing target asks for on a training split."""
+    if target == "parity":
+        return max(0, train.n_negative - train.n_positive)
+    n_synth = int(target)
+    if n_synth < 0:
+        raise ValueError("target count must be >= 0")
+    return n_synth
+
+
 def balance_by_oversampling(train, model, target="parity", seed=0):
     """Append synthetic minority rows to the training split.
 
@@ -369,12 +379,7 @@ def balance_by_oversampling(train, model, target="parity", seed=0):
     """
     from .data_model import concat_tables
 
-    if target == "parity":
-        n_synth = max(0, train.n_negative - train.n_positive)
-    else:
-        n_synth = int(target)
-        if n_synth < 0:
-            raise ValueError("target count must be >= 0")
+    n_synth = synthetic_count(train, target)
     if n_synth == 0:
         return train.subset(np.arange(train.n_rows))
     synth = model.sample(n_synth, seed)

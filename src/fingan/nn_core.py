@@ -244,9 +244,24 @@ def state_from_dict(d):
         d["input_dim"],
         tuple(Layer(l["width"], l["activation"], l.get("slope", 0.2)) for l in d["layers"]),
     )
+    n_layers = len(spec.layers)
+    if len(d["weights"]) != n_layers or len(d["biases"]) != n_layers:
+        raise ShapeMismatch(
+            f"{len(d['weights'])} weights and {len(d['biases'])} biases "
+            f"for {n_layers} layers")
+    fan_in = spec.input_dim
+    for i, (layer, w, b) in enumerate(zip(spec.layers, d["weights"], d["biases"])):
+        shape = (layer.width, fan_in)
+        if tuple(w["shape"]) != shape or len(w["data"]) != layer.width * fan_in:
+            raise ShapeMismatch(
+                f"layer {i}: weight shape {w['shape']} with {len(w['data'])} "
+                f"values, expected {list(shape)}")
+        if len(b) != layer.width:
+            raise ShapeMismatch(f"layer {i}: {len(b)} biases, expected {layer.width}")
+        fan_in = layer.width
     state = init_network(spec, seed=0)
     state.weights = [
-        np.array(w["data"]).reshape(w["shape"]) for w in d["weights"]
+        np.array(w["data"], dtype=float).reshape(w["shape"]) for w in d["weights"]
     ]
     state.biases = [np.array(b, dtype=float) for b in d["biases"]]
     state.step = d.get("step", 0)

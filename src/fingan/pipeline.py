@@ -36,7 +36,14 @@ from .data_model import (
 )
 from .errors import AuditMismatch
 from .evaluation import Rule, confusion, extract_rules, metrics, t_test_auc
-from .gan import VANILLA, WGAN, GanConfig, balance_by_oversampling, train_gan
+from .gan import (
+    VANILLA,
+    WGAN,
+    GanConfig,
+    balance_by_oversampling,
+    synthetic_count,
+    train_gan,
+)
 from .ocsvm import KernelSpec, default_gamma, encode_for_kernel, undersample_majority
 
 OVERSAMPLERS = ("none", "gan", "wgan", "ctgan")
@@ -194,14 +201,14 @@ def balance(train, balancer, seed, preprocess_params=None):
     if balancer.oversampler != "none":
         model = train_oversampler(train.positives(), balancer, seed)
         balanced = balance_by_oversampling(base, model, balancer.target, seed=seed)
-        synthetic = balanced.n_rows - base.n_rows
+        synthetic = synthetic_count(base, balancer.target)
     else:
         model = None
         balanced = base
     audit["synthetic"] = synthetic
     audit["balanced_size"] = balanced.n_rows
-    # Per class, since synthetic is derived from the total: every majority
-    # row kept, every minority row plus the synthetic ones, nothing else.
+    # Per class: every majority row kept, every minority row plus the
+    # synthetic rows requested, nothing else.
     if (balanced.n_negative != audit["majority_kept"]
             or balanced.n_positive != audit["minority_before"] + synthetic):
         raise AuditMismatch(

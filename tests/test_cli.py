@@ -115,3 +115,30 @@ def test_fixtures(tmp_path, capsys):
     for csv_path, schema_path in zip(files[::2], files[1::2]):
         table = load_csv(csv_path, Schema.from_json(schema_path))
         assert table.n_rows > 0
+
+
+@pytest.mark.parametrize("gan, argv, epochs", [
+    ("ctgan", [], 300),
+    ("wgan", [], 3000),
+    ("gan", [], 3000),
+    ("ctgan", ["--epochs", "7"], 7),
+])
+def test_train_gan_epoch_defaults(dataset, tmp_path, monkeypatch, gan, argv, epochs):
+    import fingan.cli as cli
+
+    class Model:
+        def to_dict(self):
+            return {}
+
+    seen = []
+
+    def record(minority, config):
+        seen.append(config)
+        return Model()
+
+    monkeypatch.setattr(cli, "train_ctgan", record)
+    monkeypatch.setattr(cli, "train_gan", record)
+    csv_path, schema_path, _ = dataset
+    assert main(["train-gan", "--csv", csv_path, "--schema", schema_path,
+                 "--gan", gan, "--out", str(tmp_path / "m.json"), *argv]) == 0
+    assert [c.epochs for c in seen] == [epochs]

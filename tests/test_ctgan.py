@@ -2,9 +2,20 @@ import numpy as np
 import pytest
 
 from fingan.ctgan import (
+    EM_MAX_ITERS,
+    EM_TOL,
+    WEIGHT_PRUNE,
     CtganConfig,
     CtganModel,
     DiscreteStats,
+    ModeNormalizer,
+    _condition_buckets,
+    _condition_loss,
+    _fit_em,
+    _kmeanspp_centers,
+    _sample_bucket_rows,
+    _sample_cond_batch,
+    _sigma_floor,
     decode_continuous,
     encode_continuous,
     encode_continuous_batch,
@@ -13,7 +24,8 @@ from fingan.ctgan import (
     sample_ctgan,
     train_ctgan,
 )
-from fingan.errors import InvalidOneHot, NoDiscreteColumns
+from fingan.errors import InvalidOneHot, NoDiscreteColumns, ShapeMismatch
+from fingan.nn_core import PROB_EPS
 from fingan.fixtures import rare_category_minority
 
 
@@ -162,3 +174,228 @@ class TestTrainCtgan:
                             CtganConfig(epochs=2, batch_size=32, seed=0))
         out = sample_ctgan(model, 20, seed=1)
         assert out.n_rows == 20
+
+
+# --- Per-row and per-column reference code --------------------------------
+# The batched draws, bucket lookup, condition loss and EM fits must take the
+# same values from the generator in the same order as these loops, and give
+# bitwise-equal results.
+
+def oracle_cond_batch(stats, b, rng):
+    cols = rng.integers(len(stats.columns), size=b)
+    cats = np.empty(b, dtype=int)
+    onehot = np.zeros((b, stats.total_width))
+    for i, ci in enumerate(cols):
+        logf = np.log1p(stats.frequencies[ci])
+        total = logf.sum()
+        probs = logf / total if total > 0 else np.full(len(logf), 1.0 / len(logf))
+        cats[i] = rng.choice(len(probs), p=probs)
+        onehot[i, stats.offsets[ci] + cats[i]] = 1.0
+    return cols, cats, onehot
+
+
+def oracle_bucket_rows(X, stats, cols, cats, n_real, rng):
+    buckets = {}
+    for ci, j in enumerate(stats.columns):
+        col = X[:, j].astype(int)
+        for cat in range(len(stats.frequencies[ci])):
+            buckets[(ci, cat)] = np.flatnonzero(col == cat)
+    return np.array([
+        rng.choice(buckets[(ci, cat)])
+        if len(buckets[(ci, cat)]) else rng.integers(n_real)
+        for ci, cat in zip(cols, cats)
+    ])
+
+
+def oracle_condition_loss(fake, hot, grad_fake):
+    b = len(hot)
+    ce = 0.0
+    for i in range(b):
+        p = max(fake[i, hot[i]], PROB_EPS)
+        ce -= np.log(p)
+        grad_fake[i, hot[i]] += -1.0 / (p * b)
+    return ce / b
+
+
+def oracle_fit_em(values, k, floor, seed):
+    rng = np.random.default_rng(seed)
+    means = _kmeanspp_centers(values, k, rng)
+    stds = np.full(k, max(values.std(), floor))
+    weights = np.full(k, 1.0 / k)
+    loglik_history = []
+    prev = -np.inf
+    for _ in range(EM_MAX_ITERS):
+        log_pdf = (
+            -0.5 * ((values[:, None] - means[None, :]) / stds[None, :]) ** 2
+            - np.log(stds[None, :])
+            - 0.5 * np.log(2 * np.pi)
+        )
+        log_w = np.log(np.maximum(weights, 1e-300))
+        joint = log_pdf + log_w[None, :]
+        row_max = joint.max(axis=1, keepdims=True)
+        lse = row_max[:, 0] + np.log(np.exp(joint - row_max).sum(axis=1))
+        loglik = float(lse.sum())
+        loglik_history.append(loglik)
+        resp = np.exp(joint - lse[:, None])
+        nk = resp.sum(axis=0)
+        safe = np.maximum(nk, 1e-12)
+        weights = nk / len(values)
+        means = (resp * values[:, None]).sum(axis=0) / safe
+        var = (resp * (values[:, None] - means[None, :]) ** 2).sum(axis=0) / safe
+        stds = np.maximum(np.sqrt(var), floor)
+        if loglik - prev < EM_TOL and np.isfinite(prev):
+            break
+        prev = loglik
+    return weights, means, stds, loglik_history
+
+
+def oracle_fit_mode_normalizer(values, max_modes, seed):
+    values = np.asarray(values, dtype=float)
+    floor = _sigma_floor(values)
+    distinct = np.unique(values)
+    if len(distinct) < 2:
+        return ModeNormalizer(np.array([1.0]), np.array([float(values[0])]),
+                              np.array([floor]))
+    best = None
+    for k in range(1, min(max_modes, len(distinct)) + 1):
+        fit = oracle_fit_em(values, k, floor, seed)
+        bic = -2.0 * fit[3][-1] + (3 * k - 1) * np.log(len(values))
+        if best is None or bic < best[0] - 1e-9:
+            best = (bic, fit)
+    weights, means, stds, loglik_history = best[1]
+    keep = weights >= WEIGHT_PRUNE
+    if not keep.any():
+        keep = weights == weights.max()
+    weights, means, stds = weights[keep], means[keep], stds[keep]
+    weights = weights / weights.sum()
+    order = np.argsort(means)
+    return ModeNormalizer(weights[order], means[order], stds[order], loglik_history)
+
+
+def mixed_columns(seed, n=160):
+    """Numeric columns of unlike shapes, as an (n, c) matrix."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack([
+        np.concatenate([rng.normal(-3, 0.4, n // 2), rng.normal(3, 1.0, n - n // 2)]),
+        rng.normal(size=n) ** 2,
+        rng.integers(0, 3, n).astype(float),  # three distinct values
+        np.full(n, 2.5),  # constant
+        rng.uniform(-1, 1, n),
+        np.round(rng.normal(10, 2, n), 1),
+        np.where(rng.random(n) < 0.5, 1.0, 4.0),  # two distinct values
+    ])
+
+
+def discrete_table(seed, n=50):
+    """Stats and X for three discrete columns; the last has no matching
+    rows, so its frequencies are all zero and its draws are uniform."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.integers(0, 4, n),
+        np.zeros(n),  # one category only
+        np.full(n, -1.0),  # no row in any of its buckets
+        rng.normal(size=n),  # numeric, not conditioned on
+    ])
+    freqs = [np.bincount(X[:, 0].astype(int), minlength=4).astype(float),
+             np.array([float(n)]), np.zeros(3)]
+    return X, DiscreteStats([0, 1, 2], freqs, [0, 4, 5])
+
+
+class TestBatchedAgainstPerRow:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_condition_draw(self, seed):
+        _, stats = discrete_table(seed)
+        stats.frequencies[0][seed % 4] = 0.0  # a category never drawn
+        stats = DiscreteStats(stats.columns, stats.frequencies, stats.offsets)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for want, got in zip(oracle_cond_batch(stats, 37, a),
+                             _sample_cond_batch(stats, 37, b)):
+            np.testing.assert_array_equal(got, want)
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_single_condition_draw(self, seed):
+        stats = DiscreteStats([0, 2], [np.array([3.0, 0.0, 7.0]), np.array([5.0])],
+                              [0, 3])
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        cols, cats, onehot = oracle_cond_batch(stats, 1, a)
+        cv = sample_condvec(stats, rng=b)
+        assert (cv.column, cv.category) == (stats.columns[cols[0]], cats[0])
+        np.testing.assert_array_equal(cv.onehot, onehot[0])
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bucket_draw(self, seed):
+        X, stats = discrete_table(seed)
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        cols, cats, _ = _sample_cond_batch(stats, 64, np.random.default_rng(seed + 1))
+        assert (cols == 2).any()  # the empty buckets are reached
+        want = oracle_bucket_rows(X, stats, cols, cats, len(X), a)
+        got = _sample_bucket_rows(_condition_buckets(X, stats),
+                                  np.asarray(stats.offsets)[cols] + cats, len(X), b)
+        np.testing.assert_array_equal(got, want)
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_condition_loss(self, seed):
+        rng = np.random.default_rng(seed)
+        fake = rng.dirichlet(np.ones(6), size=64)
+        fake[rng.random(64) < 0.1, 0] = 0.0  # clamped at PROB_EPS
+        hot = rng.integers(0, 6, 64)
+        grad_a = rng.normal(size=(64, 6))
+        grad_b = grad_a.copy()
+        want = oracle_condition_loss(fake, hot, grad_a)
+        got = _condition_loss(fake, hot, grad_b)
+        assert got == want
+        np.testing.assert_array_equal(grad_b, grad_a)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_em_fits_all_columns_at_once(self, k):
+        X = mixed_columns(k)
+        # columns 2 and 6 have fewer distinct values than most k and stop
+        # within a few iterations; the others run longer
+        fitted = [0, 1, 2, 4, 5, 6]
+        seeds = [k + 10 * i for i in fitted]
+        floors = np.array([_sigma_floor(X[:, i]) for i in fitted])
+        columns = np.ascontiguousarray(X[:, fitted].T)
+        init = [(np.random.default_rng(s), c) for s, c in zip(seeds, columns)]
+        means = np.array([_kmeanspp_centers(c, k, r) for r, c in init])
+        stds = np.array([np.full(k, max(c.std(), f)) for c, f in zip(columns, floors)])
+        weights, means, stds, histories = _fit_em(columns, means, stds, floors)
+        for r, (i, s) in enumerate(zip(fitted, seeds)):
+            want = oracle_fit_em(X[:, i], k, floors[r], s)
+            np.testing.assert_array_equal(weights[r], want[0])
+            np.testing.assert_array_equal(means[r], want[1])
+            np.testing.assert_array_equal(stds[r], want[2])
+            assert histories[r] == want[3]
+        if k > 1:
+            assert len({len(h) for h in histories}) > 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("max_modes", [1, 2, 5, 10])
+    def test_mode_normalizers(self, seed, max_modes):
+        X = mixed_columns(seed)
+        seeds = [seed + j for j in range(X.shape[1])]
+        got = fit_mode_normalizer(X, max_modes, seeds)
+        for j, norm in enumerate(got):
+            want = oracle_fit_mode_normalizer(X[:, j], max_modes, seeds[j])
+            np.testing.assert_array_equal(norm.weights, want.weights)
+            np.testing.assert_array_equal(norm.means, want.means)
+            np.testing.assert_array_equal(norm.stds, want.stds)
+            assert norm.loglik_history == want.loglik_history
+        one = fit_mode_normalizer(X[:, 0], max_modes, seeds[0])
+        np.testing.assert_array_equal(one.means, got[0].means)
+
+    def test_invalid_frequencies_rejected(self):
+        with pytest.raises(ValueError):
+            DiscreteStats([0], [np.array([3.0, -0.5])], [0])
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            DiscreteStats([0], [np.array([1.0, np.inf])], [0])
+
+
+def test_truncated_head_rejected_on_load(conditioned_ctgan):
+    d = conditioned_ctgan.to_dict()
+    head = d["heads"][-1]
+    head["weights"][0]["data"] = head["weights"][0]["data"][:-3]
+    with pytest.raises(ShapeMismatch):
+        CtganModel.from_dict(d)

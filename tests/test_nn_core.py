@@ -263,3 +263,36 @@ def test_serialization_round_trip():
         np.testing.assert_array_equal(a, b)  # bit-exact through JSON
     batch = np.random.default_rng(0).normal(size=(2, 3))
     np.testing.assert_array_equal(forward(s, batch)[-1], forward(restored, batch)[-1])
+
+
+def tamper_biases(d):
+    d["biases"][1].append(0.0)
+
+
+def tamper_weight_data(d):
+    d["weights"][0]["data"].pop()
+
+
+def tamper_weight_shape(d):
+    # same element count, transposed shape
+    d["weights"][0]["shape"] = d["weights"][0]["shape"][::-1]
+
+
+def tamper_layer_count(d):
+    d["weights"].pop()
+    d["biases"].pop()
+
+
+def tamper_input_dim(d):
+    d["input_dim"] += 1
+
+
+@pytest.mark.parametrize("tamper", [tamper_biases, tamper_weight_data,
+                                    tamper_weight_shape, tamper_layer_count,
+                                    tamper_input_dim])
+def test_loading_checks_shapes(tamper):
+    spec = NetworkSpec(3, (Layer(4, nn_core.RELU), Layer(2, nn_core.SOFTMAX)))
+    d = state_to_dict(init_network(spec, seed=1))
+    tamper(d)
+    with pytest.raises(ShapeMismatch):
+        state_from_dict(d)

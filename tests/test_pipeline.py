@@ -118,6 +118,20 @@ class TestBalance:
         with pytest.raises(AuditMismatch):
             balance(table, settings, seed=0)
 
+    def test_lost_synthetic_row_raises_audit_mismatch(self, monkeypatch):
+        table = mixed_imbalanced(90, 10, seed=0)
+        original = pipeline.balance_by_oversampling
+
+        def drop_one_synthetic_row(train, model, target, seed):
+            balanced = original(train, model, target, seed=seed)
+            last_positive = np.flatnonzero(balanced.y == 1)[-1]
+            return balanced.subset(np.delete(np.arange(balanced.n_rows), last_positive))
+
+        monkeypatch.setattr(pipeline, "balance_by_oversampling", drop_one_synthetic_row)
+        settings = BalancerSettings(oversampler="gan", epochs=3, batch_size=8)
+        with pytest.raises(AuditMismatch):
+            balance(table, settings, seed=0)
+
     def test_none_balancer_identity(self):
         table = mixed_imbalanced(30, 10, seed=3)
         balanced, audit, model = balance(table, BalancerSettings(), seed=0)
