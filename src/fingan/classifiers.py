@@ -14,7 +14,8 @@ import numpy as np
 
 from . import nn_core
 from .errors import SchemaMismatch
-from .nn_core import AdamConfig, Layer, NetworkSpec, adam_step, backward, bce_loss, forward, init_network
+from .nn_core import (AdamConfig, Layer, NetworkSpec, adam_step, backward, bce_loss, forward,
+                      init_network, sigmoid)
 
 
 @dataclass
@@ -73,15 +74,6 @@ def _check_rows(model, X):
 
 # --- logistic regression -------------------------------------------------
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def fit_logistic(X, y, l2=0.0, epochs=5000, lr=0.1, seed=0):
     """Full-batch gradient descent on L2-regularized cross-entropy.
 
@@ -95,7 +87,7 @@ def fit_logistic(X, y, l2=0.0, epochs=5000, lr=0.1, seed=0):
     w = np.zeros(d)
     b = 0.0
     for _ in range(epochs):
-        p = _sigmoid(X @ w + b)
+        p = sigmoid(X @ w + b)
         gw = X.T @ (p - y) / n + l2 * w
         gb = float((p - y).mean())
         if np.sqrt((gw @ gw) + gb * gb) < 1e-6:
@@ -334,7 +326,7 @@ def fit_svm_linear(X, y, C=1.0, epochs=2000, seed=0):
     m = X @ w + b
     a, c = 1.0, 0.0
     for _ in range(2000):
-        p = _sigmoid(a * m + c)
+        p = sigmoid(a * m + c)
         ga = float(((p - y) * m).mean())
         gc = float((p - y).mean())
         if math.hypot(ga, gc) < 1e-8:
@@ -349,7 +341,7 @@ def fit_svm_linear(X, y, C=1.0, epochs=2000, seed=0):
 def predict_proba(model, X):
     X = _check_rows(model, X)
     if model.kind == "logistic":
-        return _sigmoid(X @ model.params["w"] + model.params["b"])
+        return sigmoid(X @ model.params["w"] + model.params["b"])
     if model.kind == "tree":
         return _tree_proba(model.params["root"], X)
     if model.kind == "forest":
@@ -360,7 +352,7 @@ def predict_proba(model, X):
         return forward(model.params["net"], X)[-1][:, 0]
     if model.kind == "svm":
         a, c = model.params["platt"]
-        return _sigmoid(a * (X @ model.params["w"] + model.params["b"]) + c)
+        return sigmoid(a * (X @ model.params["w"] + model.params["b"]) + c)
     raise ValueError(f"unknown classifier kind {model.kind!r}")
 
 

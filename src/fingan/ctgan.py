@@ -5,12 +5,16 @@ is the offset from the sampled mixture component's mean in units of 4 sigma.
 Discrete columns are one-hot. Training conditions the generator on a
 (column, category) one-hot drawn by log-frequency sampling, and real batches
 are drawn from rows matching the sampled condition so rare categories stay
-represented. The adversarial loop itself follows the WGAN critic recipe.
+represented. Training runs the adversarial loop that vanilla GAN and WGAN
+also use (``gan.train_adversarial``) with a Wasserstein critic: conditions
+are appended to the generator's noise and to both critic inputs, the real
+rows come from the sampled condition's bucket, and a cross-entropy term
+pushes each fake row toward its condition's category.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,19 +25,22 @@ from .errors import (
     EmptyMinority,
     InvalidOneHot,
     NoDiscreteColumns,
-    NonFiniteLoss,
+    SchemaMismatch,
 )
-from .gan import generator_backward_step, generator_forward
-from .nn_core import (
-    AdamConfig,
-    Layer,
-    NetworkSpec,
-    adam_step,
-    backward,
-    clip_weights,
-    forward,
-    init_network,
+from .gan import (
+    WGAN,
+    Block,
+    build_discriminator,
+    build_generator,
+    check_generator,
+    generator_forward,
+    train_adversarial,
 )
+from .nn_core import AdamConfig
+
+# perfbench/tracer.py rebinds these names here to label calls made from this module
+from .gan import generator_backward_step  # noqa: F401
+from .nn_core import adam_step, backward, forward  # noqa: F401
 
 MAX_MODES = 10
 WEIGHT_PRUNE = 0.005
@@ -64,7 +71,12 @@ class ModeNormalizer:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(np.array(d["weights"]), np.array(d["means"]), np.array(d["stds"]))
+        weights, means, stds = (np.array(d[key]) for key in ("weights", "means", "stds"))
+        if not (weights.ndim == 1 and 0 < len(weights) == len(means) == len(stds)):
+            raise SchemaMismatch(
+                f"normalizer with {len(weights)} weights, {len(means)} means "
+                f"and {len(stds)} stds")
+        return cls(weights, means, stds)
 
 
 def _sigma_floor(values):
@@ -322,28 +334,22 @@ class CtganConfig:
             raise ValueError("epochs must be >= 1")
         if self.max_modes < 1:
             raise ValueError("max_modes must be >= 1")
-
-
-@dataclass(frozen=True)
-class CtganBlock:
-    kind: str  # "alpha", "mode", or "categorical"
-    column: int  # schema column index
-    offset: int
-    width: int
+        if self.critic_steps < 1:
+            raise ValueError("critic_steps must be >= 1")
 
 
 def _build_ctgan_layout(schema, normalizers):
     blocks = []
     offset = 0
     for j in schema.numeric_indices:
-        blocks.append(CtganBlock("alpha", j, offset, 1))
+        blocks.append(Block("alpha", j, offset, 1))
         offset += 1
         m = normalizers[j].n_modes
-        blocks.append(CtganBlock("mode", j, offset, m))
+        blocks.append(Block("mode", j, offset, m))
         offset += m
     for j in schema.categorical_indices:
         width = len(schema.columns[j].categories)
-        blocks.append(CtganBlock("categorical", j, offset, width))
+        blocks.append(Block("categorical", j, offset, width))
         offset += width
     return tuple(blocks), offset
 
@@ -363,33 +369,6 @@ def _encode_table(table, normalizers, blocks, width, rng):
         out[:, alpha_block.offset] = alphas
         out[:, mode_block.offset:mode_block.offset + mode_block.width] = onehots
     return out
-
-
-class _LayoutView:
-    """Adapter so the shared generator forward/backward can walk blocks."""
-
-    def __init__(self, blocks):
-        self.blocks = blocks
-
-
-def _build_ctgan_generator(latent_dim, cond_dim, blocks, seed):
-    from .gan import GENERATOR_TRUNK_WIDTHS
-
-    trunk_spec = NetworkSpec(
-        latent_dim + cond_dim,
-        tuple(Layer(w, nn_core.RELU) for w in GENERATOR_TRUNK_WIDTHS),
-    )
-    trunk = init_network(trunk_spec, seed)
-    hidden = GENERATOR_TRUNK_WIDTHS[-1]
-    heads = []
-    for i, block in enumerate(blocks):
-        if block.kind == "alpha":
-            act = nn_core.TANH
-        else:
-            act = nn_core.SOFTMAX
-        heads.append(init_network(NetworkSpec(hidden, (Layer(block.width, act),)),
-                                  seed + 1000 + i))
-    return trunk, heads
 
 
 @dataclass
@@ -413,10 +392,7 @@ class CtganModel:
             "format": "fingan-ctgan-v1",
             "schema": self.schema.to_dict(),
             "normalizers": {str(j): nrm.to_dict() for j, nrm in self.normalizers.items()},
-            "blocks": [
-                {"kind": b.kind, "column": b.column, "offset": b.offset, "width": b.width}
-                for b in self.blocks
-            ],
+            "blocks": [asdict(b) for b in self.blocks],
             "enc_width": self.enc_width,
             "latent_dim": self.latent_dim,
             "trunk": nn_core.state_to_dict(self.trunk),
@@ -434,22 +410,31 @@ class CtganModel:
 
         if d.get("format") != "fingan-ctgan-v1":
             raise ValueError(f"unknown model format {d.get('format')!r}")
+        schema = Schema.from_dict(d["schema"])
+        normalizers = {int(j): ModeNormalizer.from_dict(nd)
+                       for j, nd in d["normalizers"].items()}
+        if sorted(normalizers) != schema.numeric_indices:
+            raise SchemaMismatch(f"normalizers for columns {sorted(normalizers)}, "
+                                 f"numeric columns are {schema.numeric_indices}")
         stats = DiscreteStats(
             list(d["stats"]["columns"]),
             [np.array(f) for f in d["stats"]["frequencies"]],
             list(d["stats"]["offsets"]),
         )
-        return cls(
-            Schema.from_dict(d["schema"]),
-            {int(j): ModeNormalizer.from_dict(nd) for j, nd in d["normalizers"].items()},
-            tuple(CtganBlock(b["kind"], b["column"], b["offset"], b["width"])
-                  for b in d["blocks"]),
-            d["enc_width"],
-            nn_core.state_from_dict(d["trunk"]),
-            [nn_core.state_from_dict(h) for h in d["heads"]],
-            d["latent_dim"],
-            stats,
-        )
+        widths = [len(f) for f in stats.frequencies]
+        if (stats.columns != schema.categorical_indices
+                or widths != [len(schema.columns[j].categories) for j in stats.columns]
+                or stats.offsets != [sum(widths[:i]) for i in range(len(widths))]):
+            raise SchemaMismatch("saved condition statistics do not match the schema")
+        blocks = tuple(Block(b["kind"], b["column"], b["offset"], b["width"])
+                       for b in d["blocks"])
+        if (blocks, d["enc_width"]) != _build_ctgan_layout(schema, normalizers):
+            raise SchemaMismatch("saved blocks do not match the schema and normalizers")
+        trunk = nn_core.state_from_dict(d["trunk"])
+        heads = [nn_core.state_from_dict(h) for h in d["heads"]]
+        check_generator(trunk, heads, d["latent_dim"] + stats.total_width, blocks)
+        return cls(schema, normalizers, blocks, d["enc_width"], trunk, heads,
+                   d["latent_dim"], stats)
 
 
 def _condition_buckets(X, stats):
@@ -509,87 +494,41 @@ def train_ctgan(minority, config):
     real = _encode_table(minority, normalizers, blocks, enc_width, rng)
 
     stats = build_discrete_stats(minority)
-    cond_dim = stats.total_width if stats.columns else 0
-    conditioned = cond_dim > 0
+    cond_dim = stats.total_width
+    trunk, heads = build_generator(config.latent_dim + cond_dim, blocks, config.seed)
+    critic = build_discriminator(enc_width + cond_dim, WGAN, config.seed + 1)
 
-    if conditioned:
+    if cond_dim:
         buckets = _condition_buckets(minority.X, stats)
         offsets = np.asarray(stats.offsets)
+        # start of each discrete column's block in the encoding, for the
+        # condition penalty
+        block_offset = np.array([
+            next(b.offset for b in blocks if b.kind == "categorical" and b.column == j)
+            for j in stats.columns], dtype=int)
 
-    layout_view = _LayoutView(blocks)
-    trunk, heads = _build_ctgan_generator(config.latent_dim, cond_dim, blocks,
-                                          config.seed)
-    from .gan import build_discriminator
+        def draw_real(b, rng):
+            cols, cats, cond = _sample_cond_batch(stats, b, rng)
+            rows = _sample_bucket_rows(buckets, offsets[cols] + cats, len(real), rng)
+            return real[rows], cond
 
-    critic = build_discriminator(enc_width + cond_dim, "wgan", config.seed + 1)
+        def draw_condition(b, rng):
+            cols, cats, cond = _sample_cond_batch(stats, b, rng)
+            return cond, block_offset[cols] + cats
 
-    # start of each discrete column's block in the encoding, for the
-    # condition penalty
-    block_offset = np.array([
-        next(b.offset for b in blocks if b.kind == "categorical" and b.column == j)
-        for j in stats.columns], dtype=int)
+        condition_loss = _condition_loss
+    else:
+        def draw_real(b, rng):
+            return real[rng.integers(0, len(real), size=b)], np.zeros((b, 0))
 
-    steps_per_epoch = max(1, minority.n_rows // config.batch_size)
-    c_hist, g_hist = [], []
-    for epoch in range(config.epochs):
-        c_losses, g_losses = [], []
-        for _ in range(steps_per_epoch):
-            b = config.batch_size
-            # critic updates
-            c_loss = 0.0
-            for _ in range(config.critic_steps):
-                if conditioned:
-                    cols, cats, cond = _sample_cond_batch(stats, b, rng)
-                    ridx = _sample_bucket_rows(buckets, offsets[cols] + cats,
-                                               len(real), rng)
-                else:
-                    cond = np.zeros((b, 0))
-                    ridx = rng.integers(0, len(real), size=b)
-                real_batch = real[ridx]
-                z = rng.standard_normal((b, config.latent_dim))
-                gen_in = np.concatenate([z, cond], axis=1)
-                _, _, fake = generator_forward(trunk, heads, layout_view, gen_in)
-                acts_r = forward(critic, np.concatenate([real_batch, cond], axis=1))
-                acts_f = forward(critic, np.concatenate([fake, cond], axis=1))
-                c_loss = float(acts_f[-1].mean() - acts_r[-1].mean())
-                gw_r, gb_r, _ = backward(critic, acts_r, np.full((b, 1), -1.0 / b))
-                gw_f, gb_f, _ = backward(critic, acts_f, np.full((b, 1), 1.0 / b))
-                gw = [x + y for x, y in zip(gw_r, gw_f)]
-                gb = [x + y for x, y in zip(gb_r, gb_f)]
-                adam_step(critic, gw, gb, config.adam)
-                clip_weights(critic, config.wgan_clip)
+        draw_condition = condition_loss = None
 
-            # generator update
-            if conditioned:
-                cols, cats, cond = _sample_cond_batch(stats, b, rng)
-            else:
-                cond = np.zeros((b, 0))
-            z = rng.standard_normal((b, config.latent_dim))
-            gen_in = np.concatenate([z, cond], axis=1)
-            trunk_acts, head_acts, fake = generator_forward(trunk, heads,
-                                                            layout_view, gen_in)
-            acts_d = forward(critic, np.concatenate([fake, cond], axis=1))
-            g_loss = float(-acts_d[-1].mean())
-            _, _, grad_in = backward(critic, acts_d, np.full((b, 1), -1.0 / b))
-            grad_fake = grad_in[:, :enc_width]
-
-            if conditioned:
-                g_loss += _condition_loss(fake, block_offset[cols] + cats, grad_fake)
-
-            generator_backward_step(trunk, heads, layout_view, trunk_acts,
-                                    head_acts, grad_fake, config.adam)
-            if not (np.isfinite(c_loss) and np.isfinite(g_loss)):
-                raise NonFiniteLoss(epoch, f"c={c_loss} g={g_loss}")
-            c_losses.append(c_loss)
-            g_losses.append(g_loss)
-        c_hist.append(float(np.mean(c_losses)))
-        g_hist.append(float(np.mean(g_losses)))
-        nn_core.assert_finite(critic)
-        nn_core.assert_finite(trunk)
-
+    steps = [config.batch_size] * max(1, minority.n_rows // config.batch_size)
+    history = train_adversarial(trunk, heads, blocks, critic, rng, config, True,
+                                lambda rng: steps, draw_real, draw_condition,
+                                condition_loss)
     return CtganModel(schema, normalizers, blocks, enc_width, trunk, heads,
-                      config.latent_dim, stats,
-                      history={"c_loss": c_hist, "g_loss": g_hist})
+                      config.latent_dim, stats, history=history)
 
 
 def _decode_ctgan(model, encoded, condition=None):
@@ -637,7 +576,7 @@ def sample_ctgan(model, n, seed, condition=None):
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    cond_dim = model.stats.total_width if model.stats.columns else 0
+    cond_dim = model.stats.total_width
     if condition is not None:
         if not model.stats.columns:
             raise NoDiscreteColumns("cannot condition: no discrete columns")
@@ -653,6 +592,5 @@ def sample_ctgan(model, n, seed, condition=None):
         enforced = None
     z = rng.standard_normal((n, model.latent_dim))
     _, _, encoded = generator_forward(model.trunk, model.heads,
-                                      _LayoutView(model.blocks),
                                       np.concatenate([z, cond], axis=1))
     return _decode_ctgan(model, encoded, enforced)

@@ -8,13 +8,13 @@ The discriminator is a fixed stack of leaky-ReLU layers ending in a sigmoid
 (vanilla) or an unbounded score (WGAN critic).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import nn_core
 from .data_model import NUMERIC, Table
-from .errors import EmptyMinority, NonFiniteLoss
+from .errors import EmptyMinority, NonFiniteLoss, SchemaMismatch
 from .nn_core import (
     AdamConfig,
     Layer,
@@ -32,14 +32,17 @@ WGAN = "wgan"
 
 DISCRIMINATOR_WIDTHS = (128, 64, 32, 16, 8)
 GENERATOR_TRUNK_WIDTHS = (64, 128)
+# generator head activation per block kind, for GAN and CTGAN blocks
+HEAD_ACTIVATIONS = {"categorical": nn_core.SOFTMAX, "numeric": nn_core.SIGMOID,
+                    "alpha": nn_core.TANH, "mode": nn_core.SOFTMAX}
 
 
 @dataclass(frozen=True)
 class Block:
     """One contiguous slice of the encoded row."""
 
-    kind: str  # "categorical" or "numeric"
-    column: int  # schema column index; -1 for the combined numeric block
+    kind: str  # GAN: "categorical" or "numeric"; CTGAN: "alpha", "mode" or "categorical"
+    column: int  # schema column index; -1 for GAN's combined numeric block
     offset: int
     width: int
 
@@ -57,10 +60,7 @@ class GanLayout:
 
     def to_dict(self):
         return {
-            "blocks": [
-                {"kind": b.kind, "column": b.column, "offset": b.offset, "width": b.width}
-                for b in self.blocks
-            ],
+            "blocks": [asdict(b) for b in self.blocks],
             "numeric_columns": list(self.numeric_columns),
             "numeric_min": list(self.numeric_min),
             "numeric_max": list(self.numeric_max),
@@ -94,23 +94,28 @@ class GanConfig:
             raise ValueError(f"unknown GAN mode {self.mode!r}")
         if self.wgan_clip <= 0:
             raise ValueError("wgan_clip must be positive")
+        if self.critic_steps < 1:
+            raise ValueError("critic_steps must be >= 1")
 
 
-def make_layout(table):
-    """Block layout plus numeric min/max observed on this table."""
-    schema = table.schema
+def _layout_blocks(schema):
     blocks = []
     offset = 0
     for j in schema.categorical_indices:
         width = len(schema.columns[j].categories)
         blocks.append(Block("categorical", j, offset, width))
         offset += width
-    num_cols = tuple(schema.numeric_indices)
-    if num_cols:
-        blocks.append(Block("numeric", -1, offset, len(num_cols)))
+    if schema.numeric_indices:
+        blocks.append(Block("numeric", -1, offset, len(schema.numeric_indices)))
+    return tuple(blocks)
+
+
+def make_layout(table):
+    """Block layout plus numeric min/max observed on this table."""
+    num_cols = tuple(table.schema.numeric_indices)
     mins = tuple(float(table.X[:, j].min()) for j in num_cols)
     maxs = tuple(float(table.X[:, j].max()) for j in num_cols)
-    return GanLayout(tuple(blocks), num_cols, mins, maxs)
+    return GanLayout(_layout_blocks(table.schema), num_cols, mins, maxs)
 
 
 def encode_for_gan(table, layout=None):
@@ -149,18 +154,31 @@ def decode_from_gan(encoded, layout, schema, label=1):
     return Table(schema, X, np.full(n, label, dtype=int))
 
 
-def _build_generator(latent_dim, layout, seed):
-    trunk_spec = NetworkSpec(
-        latent_dim, tuple(Layer(w, nn_core.RELU) for w in GENERATOR_TRUNK_WIDTHS)
-    )
-    trunk = init_network(trunk_spec, seed)
+def _generator_specs(input_dim, blocks):
+    trunk = NetworkSpec(input_dim,
+                        tuple(Layer(w, nn_core.RELU) for w in GENERATOR_TRUNK_WIDTHS))
     hidden = GENERATOR_TRUNK_WIDTHS[-1]
-    heads = []
-    for i, block in enumerate(layout.blocks):
-        act = nn_core.SOFTMAX if block.kind == "categorical" else nn_core.SIGMOID
-        spec = NetworkSpec(hidden, (Layer(block.width, act),))
-        heads.append(init_network(spec, seed + 1000 + i))
+    heads = [NetworkSpec(hidden, (Layer(b.width, HEAD_ACTIVATIONS[b.kind]),))
+             for b in blocks]
     return trunk, heads
+
+
+def build_generator(input_dim, blocks, seed):
+    """A shared trunk on input_dim inputs (latent plus condition width) and
+    one head per output block; returns (trunk, heads)."""
+    trunk_spec, head_specs = _generator_specs(input_dim, blocks)
+    return (init_network(trunk_spec, seed),
+            [init_network(spec, seed + 1000 + i) for i, spec in enumerate(head_specs)])
+
+
+def check_generator(trunk, heads, input_dim, blocks):
+    """Raise SchemaMismatch unless loaded networks have the layers, widths
+    and activations that build_generator gives input_dim and blocks."""
+    trunk_spec, head_specs = _generator_specs(input_dim, blocks)
+    if trunk.spec != trunk_spec or [h.spec for h in heads] != head_specs:
+        raise SchemaMismatch(
+            f"saved generator (trunk on {trunk.spec.input_dim} inputs, {len(heads)} "
+            f"heads) does not fit {input_dim} inputs and output blocks {blocks}")
 
 
 def build_discriminator(input_dim, mode, seed):
@@ -170,7 +188,7 @@ def build_discriminator(input_dim, mode, seed):
     return init_network(NetworkSpec(input_dim, layers), seed)
 
 
-def generator_forward(trunk, heads, layout, z):
+def generator_forward(trunk, heads, z):
     """Returns (trunk activations, head activations, concatenated output)."""
     trunk_acts = forward(trunk, z)
     h = trunk_acts[-1]
@@ -179,10 +197,10 @@ def generator_forward(trunk, heads, layout, z):
     return trunk_acts, head_acts, out
 
 
-def generator_backward_step(trunk, heads, layout, trunk_acts, head_acts, grad_out, adam):
+def generator_backward_step(trunk, heads, blocks, trunk_acts, head_acts, grad_out, adam):
     """Backprop grad_out through heads and trunk, then Adam-update all parts."""
     grad_h = np.zeros_like(trunk_acts[-1])
-    for head, acts, block in zip(heads, head_acts, layout.blocks):
+    for head, acts, block in zip(heads, head_acts, blocks):
         sl = slice(block.offset, block.offset + block.width)
         gw, gb, gin = backward(head, acts, grad_out[:, sl])
         adam_step(head, gw, gb, adam)
@@ -201,7 +219,6 @@ class GeneratorModel:
     latent_dim: int
     history: dict = field(default_factory=dict)
     discriminator: object = None
-    early_generator: object = None  # (trunk, heads) after the first epoch
 
     def sample(self, n, seed):
         return sample_synthetic(self, n, seed)
@@ -209,7 +226,7 @@ class GeneratorModel:
     def sample_encoded(self, n, seed):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, self.latent_dim))
-        _, _, out = generator_forward(self.trunk, self.heads, self.layout, z)
+        _, _, out = generator_forward(self.trunk, self.heads, z)
         return out
 
     def to_dict(self):
@@ -229,20 +246,16 @@ class GeneratorModel:
 
         if d.get("format") != "fingan-generator-v1":
             raise ValueError(f"unknown model format {d.get('format')!r}")
-        return cls(
-            d["mode"],
-            Schema.from_dict(d["schema"]),
-            GanLayout.from_dict(d["layout"]),
-            nn_core.state_from_dict(d["trunk"]),
-            [nn_core.state_from_dict(h) for h in d["heads"]],
-            d["latent_dim"],
-        )
-
-
-def _batches(n, batch_size, rng):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+        schema = Schema.from_dict(d["schema"])
+        layout = GanLayout.from_dict(d["layout"])
+        num_cols = tuple(schema.numeric_indices)
+        if (layout.blocks != _layout_blocks(schema) or layout.numeric_columns != num_cols
+                or not len(layout.numeric_min) == len(layout.numeric_max) == len(num_cols)):
+            raise SchemaMismatch("saved layout does not match the saved schema")
+        trunk = nn_core.state_from_dict(d["trunk"])
+        heads = [nn_core.state_from_dict(h) for h in d["heads"]]
+        check_generator(trunk, heads, d["latent_dim"], layout.blocks)
+        return cls(d["mode"], schema, layout, trunk, heads, d["latent_dim"])
 
 
 def train_gan(minority, config):
@@ -254,102 +267,98 @@ def train_gan(minority, config):
 
     real, layout = encode_for_gan(minority)
     rng = np.random.default_rng(config.seed)
-    trunk, heads = _build_generator(config.latent_dim, layout, config.seed)
+    trunk, heads = build_generator(config.latent_dim, layout.blocks, config.seed)
     disc = build_discriminator(layout.width, config.mode, config.seed + 1)
+    n, size = minority.n_rows, config.batch_size
 
+    def batches(rng):
+        order = rng.permutation(n)
+        return [order[start:start + size] for start in range(0, n, size)]
+
+    def draw_real(rows, rng):
+        if config.mode == WGAN:  # rows drawn with replacement; the batch gives the count
+            rows = rng.integers(0, n, size=len(rows))
+        return real[rows], np.zeros((len(rows), 0))
+
+    history = train_adversarial(trunk, heads, layout.blocks, disc, rng, config,
+                                config.mode == WGAN, batches, draw_real)
+    model = GeneratorModel(config.mode, minority.schema, layout, trunk, heads,
+                           config.latent_dim, history=history)
+    model.discriminator = disc  # kept for inspection; not serialized
+    return model
+
+
+def train_adversarial(trunk, heads, blocks, critic, rng, config, wasserstein,
+                      batches, draw_real, draw_condition=None, condition_loss=None):
+    """The adversarial loop shared by vanilla GAN, WGAN and CTGAN.
+
+    Each of config.epochs epochs runs one step per entry of ``batches(rng)``.
+    A step updates the critic once on binary cross-entropy, or, when
+    ``wasserstein``, config.critic_steps times on the Wasserstein loss with
+    weight clipping; each update scores ``draw_real(batch, rng)``, which
+    returns (real rows, their conditions), against as many fresh fakes. Then
+    the generator takes one update. ``draw_condition(b, rng)`` returns its
+    conditions and the category positions that ``condition_loss(fake, hot,
+    grad_fake)`` scores; without it the generator's conditions are empty.
+    Conditions are appended to the generator's noise and to both critic
+    inputs. Returns the per-epoch mean losses {"d_loss": [...], "g_loss": [...]}.
+    """
+    n_critic = config.critic_steps if wasserstein else 1
     d_hist, g_hist = [], []
-    early_snapshot = None
     for epoch in range(config.epochs):
         d_losses, g_losses = [], []
-        for batch_idx in _batches(minority.n_rows, config.batch_size, rng):
-            real_batch = real[batch_idx]
-            b = len(batch_idx)
-            if config.mode == VANILLA:
-                d_loss = _vanilla_disc_step(disc, trunk, heads, layout,
-                                            real_batch, b, config, rng)
-                g_loss = _vanilla_gen_step(disc, trunk, heads, layout, b, config, rng)
+        for batch in batches(rng):
+            for _ in range(n_critic):
+                real_batch, cond = draw_real(batch, rng)
+                b = len(real_batch)
+                z = rng.standard_normal((b, config.latent_dim))
+                _, _, fake = generator_forward(trunk, heads, np.concatenate([z, cond], axis=1))
+                acts_r = forward(critic, np.concatenate([real_batch, cond], axis=1))
+                acts_f = forward(critic, np.concatenate([fake, cond], axis=1))
+                if wasserstein:
+                    # critic maximizes mean(real) - mean(fake); minimize the negation
+                    d_loss = float(acts_f[-1].mean() - acts_r[-1].mean())
+                    grad_r, grad_f = np.full((b, 1), -1.0 / b), np.full((b, 1), 1.0 / b)
+                else:
+                    loss_r, grad_r = bce_loss(acts_r[-1][:, 0], np.ones(b))
+                    loss_f, grad_f = bce_loss(acts_f[-1][:, 0], np.zeros(b))
+                    d_loss, grad_r, grad_f = loss_r + loss_f, grad_r[:, None], grad_f[:, None]
+                gw_r, gb_r, _ = backward(critic, acts_r, grad_r)
+                gw_f, gb_f, _ = backward(critic, acts_f, grad_f)
+                adam_step(critic, [x + y for x, y in zip(gw_r, gw_f)],
+                          [x + y for x, y in zip(gb_r, gb_f)], config.adam)
+                if wasserstein:
+                    clip_weights(critic, config.wgan_clip)
+
+            if draw_condition is None:
+                cond, hot = np.zeros((b, 0)), None
             else:
-                d_loss = _wgan_critic_steps(disc, trunk, heads, layout,
-                                            real, b, config, rng)
-                g_loss = _wgan_gen_step(disc, trunk, heads, layout, b, config, rng)
+                cond, hot = draw_condition(b, rng)
+            z = rng.standard_normal((b, config.latent_dim))
+            trunk_acts, head_acts, fake = generator_forward(
+                trunk, heads, np.concatenate([z, cond], axis=1))
+            acts_d = forward(critic, np.concatenate([fake, cond], axis=1))
+            if wasserstein:
+                g_loss, grad = float(-acts_d[-1].mean()), np.full((b, 1), -1.0 / b)
+            else:
+                # non-saturating objective: push D(fake) toward 1
+                g_loss, grad = bce_loss(acts_d[-1][:, 0], np.ones(b))
+                grad = grad[:, None]
+            _, _, grad_in = backward(critic, acts_d, grad)
+            grad_fake = grad_in[:, :fake.shape[1]]
+            if hot is not None:
+                g_loss += condition_loss(fake, hot, grad_fake)
+            generator_backward_step(trunk, heads, blocks, trunk_acts, head_acts,
+                                    grad_fake, config.adam)
             if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
                 raise NonFiniteLoss(epoch, f"d={d_loss} g={g_loss}")
             d_losses.append(d_loss)
             g_losses.append(g_loss)
         d_hist.append(float(np.mean(d_losses)))
         g_hist.append(float(np.mean(g_losses)))
-        nn_core.assert_finite(disc)
+        nn_core.assert_finite(critic)
         nn_core.assert_finite(trunk)
-        if epoch == 0:
-            early_snapshot = (trunk.copy(), [h.copy() for h in heads])
-
-    model = GeneratorModel(config.mode, minority.schema, layout, trunk, heads,
-                           config.latent_dim,
-                           history={"d_loss": d_hist, "g_loss": g_hist})
-    model.discriminator = disc  # kept for inspection; not serialized
-    model.early_generator = early_snapshot
-    return model
-
-
-def _sample_fake(trunk, heads, layout, b, latent_dim, rng):
-    z = rng.standard_normal((b, latent_dim))
-    return generator_forward(trunk, heads, layout, z)
-
-
-def _vanilla_disc_step(disc, trunk, heads, layout, real_batch, b, config, rng):
-    _, _, fake = _sample_fake(trunk, heads, layout, b, config.latent_dim, rng)
-    acts_r = forward(disc, real_batch)
-    loss_r, grad_r = bce_loss(acts_r[-1][:, 0], np.ones(real_batch.shape[0]))
-    gw_r, gb_r, _ = backward(disc, acts_r, grad_r[:, None])
-    acts_f = forward(disc, fake)
-    loss_f, grad_f = bce_loss(acts_f[-1][:, 0], np.zeros(b))
-    gw_f, gb_f, _ = backward(disc, acts_f, grad_f[:, None])
-    gw = [a + c for a, c in zip(gw_r, gw_f)]
-    gb = [a + c for a, c in zip(gb_r, gb_f)]
-    adam_step(disc, gw, gb, config.adam)
-    return loss_r + loss_f
-
-
-def _vanilla_gen_step(disc, trunk, heads, layout, b, config, rng):
-    trunk_acts, head_acts, fake = _sample_fake(trunk, heads, layout, b,
-                                               config.latent_dim, rng)
-    acts_d = forward(disc, fake)
-    # non-saturating objective: push D(fake) toward 1
-    loss, grad = bce_loss(acts_d[-1][:, 0], np.ones(b))
-    _, _, grad_fake = backward(disc, acts_d, grad[:, None])
-    generator_backward_step(trunk, heads, layout, trunk_acts, head_acts,
-                            grad_fake, config.adam)
-    return loss
-
-
-def _wgan_critic_steps(disc, trunk, heads, layout, real, b, config, rng):
-    loss = 0.0
-    for _ in range(config.critic_steps):
-        idx = rng.integers(0, real.shape[0], size=b)
-        real_batch = real[idx]
-        _, _, fake = _sample_fake(trunk, heads, layout, b, config.latent_dim, rng)
-        acts_r = forward(disc, real_batch)
-        acts_f = forward(disc, fake)
-        # critic maximizes mean(real) - mean(fake); minimize the negation
-        loss = float(acts_f[-1].mean() - acts_r[-1].mean())
-        gw_r, gb_r, _ = backward(disc, acts_r, np.full((b, 1), -1.0 / b))
-        gw_f, gb_f, _ = backward(disc, acts_f, np.full((b, 1), 1.0 / b))
-        gw = [a + c for a, c in zip(gw_r, gw_f)]
-        gb = [a + c for a, c in zip(gb_r, gb_f)]
-        adam_step(disc, gw, gb, config.adam)
-        clip_weights(disc, config.wgan_clip)
-    return loss
-
-
-def _wgan_gen_step(disc, trunk, heads, layout, b, config, rng):
-    trunk_acts, head_acts, fake = _sample_fake(trunk, heads, layout, b,
-                                               config.latent_dim, rng)
-    acts_d = forward(disc, fake)
-    loss = float(-acts_d[-1].mean())
-    _, _, grad_fake = backward(disc, acts_d, np.full((b, 1), -1.0 / b))
-    generator_backward_step(trunk, heads, layout, trunk_acts, head_acts,
-                            grad_fake, config.adam)
-    return loss
+    return {"d_loss": d_hist, "g_loss": g_hist}
 
 
 def sample_synthetic(model, n, seed):

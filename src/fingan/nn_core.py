@@ -92,18 +92,23 @@ def init_network(spec, seed):
                         zeros(biases), zeros(biases))
 
 
+def sigmoid(z):
+    """Logistic function, split by sign so exp never overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def _activate(z, layer):
     if layer.activation == RELU:
         return np.maximum(z, 0.0)
     if layer.activation == LEAKY_RELU:
         return np.where(z > 0, z, layer.slope * z)
     if layer.activation == SIGMOID:
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        return sigmoid(z)
     if layer.activation == TANH:
         return np.tanh(z)
     if layer.activation == SOFTMAX:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from fingan.ctgan import (
     sample_ctgan,
     train_ctgan,
 )
-from fingan.errors import InvalidOneHot, NoDiscreteColumns, ShapeMismatch
+from fingan.errors import InvalidOneHot, NoDiscreteColumns, SchemaMismatch, ShapeMismatch
 from fingan.nn_core import PROB_EPS
 from fingan.fixtures import rare_category_minority
 
@@ -398,4 +400,33 @@ def test_truncated_head_rejected_on_load(conditioned_ctgan):
     head = d["heads"][-1]
     head["weights"][0]["data"] = head["weights"][0]["data"][:-3]
     with pytest.raises(ShapeMismatch):
+        CtganModel.from_dict(d)
+
+
+def _first_normalizer(d):
+    return next(iter(d["normalizers"].values()))
+
+
+def _drop_last_mode(d):
+    nd = _first_normalizer(d)
+    for key in ("weights", "means", "stds"):
+        nd[key] = nd[key][:-1]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda d: d["blocks"].reverse(),
+    _drop_last_mode,
+    lambda d: _first_normalizer(d)["means"].pop(),
+    lambda d: d["normalizers"].clear(),
+    lambda d: d["stats"].update(offsets=[o + 1 for o in d["stats"]["offsets"]]),
+    lambda d: d.update(enc_width=d["enc_width"] + 1),
+    lambda d: d.update(latent_dim=d["latent_dim"] + 1),
+    lambda d: d["heads"].reverse(),
+], ids=["blocks_reversed", "one_mode_short", "one_mean_short", "no_normalizers",
+        "stats_offsets", "enc_width", "latent_dim", "heads_reversed"])
+def test_mismatched_model_rejected_on_load(conditioned_ctgan, tamper):
+    d = json.loads(json.dumps(conditioned_ctgan.to_dict()))
+    CtganModel.from_dict(d)
+    tamper(d)
+    with pytest.raises(SchemaMismatch):
         CtganModel.from_dict(d)

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import GAN_SEEDS
 from fingan.data_model import CATEGORICAL, NUMERIC, ColumnSpec, Schema, Table
-from fingan.errors import EmptyMinority
+from fingan.errors import EmptyMinority, SchemaMismatch
 from fingan.fixtures import bimodal_minority, mixed_imbalanced
 from fingan.gan import (
     GanConfig,
@@ -48,6 +50,13 @@ class TestTrainGan:
         with pytest.raises(ValueError):
             GanConfig(epochs=0)
 
+    def test_critic_steps_zero_rejected(self):
+        from fingan.ctgan import CtganConfig
+
+        for config in (GanConfig, CtganConfig):
+            with pytest.raises(ValueError):
+                config(critic_steps=0)
+
     def test_one_epoch_finite(self):
         table = minority_mixed(30)
         model = train_gan(table, GanConfig(epochs=1, batch_size=16, seed=0))
@@ -81,24 +90,26 @@ class TestLossHistory:
             tail = hist[len(hist) // 10:]
             assert all(0.0 < v < 5.0 for v in tail)
 
-    def test_generator_objective_improves(self, vanilla_models):
+    def test_generator_objective_improves(self, vanilla_models, bimodal_table):
         # judge the epoch-1 and final generators against the same (final)
-        # discriminator: the final one must fool it better
+        # discriminator: the final one must fool it better. A one-epoch run
+        # of the same seed is the final model after its first epoch, as no
+        # draw or update depends on the epoch count.
         from fingan.gan import generator_forward
         from fingan.nn_core import bce_loss, forward
 
         deltas = []
         for seed in GAN_SEEDS:
             model = vanilla_models[seed]
+            early = train_gan(bimodal_table, GanConfig(mode="vanilla", epochs=1, seed=seed))
             z = np.random.default_rng(100 + seed).standard_normal((512, model.latent_dim))
 
             def gen_loss(trunk, heads):
-                _, _, fake = generator_forward(trunk, heads, model.layout, z)
+                _, _, fake = generator_forward(trunk, heads, z)
                 p = forward(model.discriminator, fake)[-1][:, 0]
                 return bce_loss(p, np.ones(len(p)))[0]
 
-            early_trunk, early_heads = model.early_generator
-            deltas.append(gen_loss(early_trunk, early_heads)
+            deltas.append(gen_loss(early.trunk, early.heads)
                           - gen_loss(model.trunk, model.heads))
         assert np.median(deltas) > 0
 
@@ -142,6 +153,18 @@ class TestSampling:
         a = sample_synthetic(vanilla_models[0], 20, seed=5)
         b = sample_synthetic(restored, 20, seed=5)
         np.testing.assert_array_equal(a.X, b.X)
+
+    def test_swapped_heads_rejected_on_load(self):
+        model = train_gan(minority_mixed(30), GanConfig(epochs=1, batch_size=16))
+        saved = json.dumps(model.to_dict())
+        GeneratorModel.from_dict(json.loads(saved))
+        for tamper in (lambda d: d["heads"].reverse(),
+                       lambda d: d["layout"]["blocks"].reverse(),
+                       lambda d: d["layout"]["numeric_min"].pop()):
+            d = json.loads(saved)
+            tamper(d)
+            with pytest.raises(SchemaMismatch):
+                GeneratorModel.from_dict(d)
 
 
 class TestBalance:
