@@ -22,7 +22,6 @@ from .evaluation import (  # noqa: F401
     MetricSet,
     Rule,
     confusion,
-    cross_validate,
     extract_rules,
     metrics,
     roc_auc,

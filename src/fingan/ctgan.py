@@ -33,6 +33,7 @@ from .gan import (
     build_discriminator,
     build_generator,
     check_generator,
+    encode_categoricals,
     generator_forward,
     train_adversarial,
 )
@@ -207,14 +208,8 @@ def _mode_posteriors(values, norm):
     return np.where(total > 0, post / np.maximum(total, 1e-300), uniform)
 
 
-def encode_continuous(value, norm, seed=0):
-    """Sample a mode for the value; return (alpha, one-hot over modes)."""
-    alphas, onehots = encode_continuous_batch(np.array([value]), norm,
-                                              np.random.default_rng(seed))
-    return float(alphas[0]), onehots[0]
-
-
 def encode_continuous_batch(values, norm, rng):
+    """Sample a mode per value; return (alphas, one-hots over modes)."""
     post = _mode_posteriors(values, norm)
     cum = np.cumsum(post, axis=1)
     draws = rng.random((len(values), 1))
@@ -234,13 +229,6 @@ def decode_continuous(alpha, mode_onehot, norm):
         raise InvalidOneHot(f"expected exactly one hot bit, got {onehot}")
     k = hot[0]
     return float(alpha * ALPHA_SCALE * norm.stds[k] + norm.means[k])
-
-
-@dataclass(frozen=True)
-class CondVector:
-    column: int  # schema column index
-    category: int
-    onehot: np.ndarray  # flattened over all discrete columns' categories
 
 
 @dataclass
@@ -290,16 +278,10 @@ def build_discrete_stats(table):
     return DiscreteStats(list(cols), freqs, offsets)
 
 
-def sample_condvec(stats, seed=None, rng=None):
-    """Uniform column choice, log(1 + frequency) category choice."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    cols, cats, onehot = _sample_cond_batch(stats, 1, rng)
-    return CondVector(stats.columns[cols[0]], int(cats[0]), onehot[0])
-
-
 def _sample_cond_batch(stats, b, rng):
-    """Batched condition draw; returns (columns, categories, onehot matrix).
+    """Batched condition draw: uniform column choice, log(1 + frequency)
+    category choice; returns (column positions in stats.columns,
+    categories, onehot matrix).
 
     Takes the values a per-row ``rng.choice(p=...)`` loop would take from
     the stream, in the same order: b column indices, then b uniforms, each
@@ -336,6 +318,10 @@ class CtganConfig:
             raise ValueError("max_modes must be >= 1")
         if self.critic_steps < 1:
             raise ValueError("critic_steps must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.latent_dim < 1:
+            raise ValueError("latent_dim must be >= 1")
 
 
 def _build_ctgan_layout(schema, normalizers):
@@ -355,12 +341,7 @@ def _build_ctgan_layout(schema, normalizers):
 
 
 def _encode_table(table, normalizers, blocks, width, rng):
-    n = table.n_rows
-    out = np.zeros((n, width))
-    for block in blocks:
-        if block.kind == "categorical":
-            idx = table.X[:, block.column].astype(int)
-            out[np.arange(n), block.offset + idx] = 1.0
+    out = encode_categoricals(table, blocks, width)
     # alpha and its mode one-hot come from the same draw
     for j in table.schema.numeric_indices:
         alpha_block = next(b for b in blocks if b.kind == "alpha" and b.column == j)

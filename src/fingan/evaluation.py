@@ -1,5 +1,4 @@
-"""Confusion metrics, k-fold aggregation, the pooled t-test, and
-decision-tree rule extraction.
+"""Confusion metrics, the pooled t-test, and decision-tree rule extraction.
 
 Note on naming: `auc` here is (sensitivity + specificity) / 2, i.e. balanced
 accuracy at the 0.5 threshold; the threshold-free trapezoidal area is
@@ -85,34 +84,6 @@ def roc_auc(labels, scores):
     tpr = np.concatenate([[0.0], tps[distinct] / n_pos])
     fpr = np.concatenate([[0.0], fps[distinct] / n_neg])
     return float(np.trapezoid(tpr, fpr))
-
-
-def cross_validate(fold_runner, table, k=10, seed=0):
-    """Stratified k-fold evaluation.
-
-    fold_runner(train_table, valid_table) must return predicted labels for
-    the validation rows, training only on train_table (any balancing
-    included). Returns (per-fold MetricSets, mean MetricSet, std MetricSet).
-    """
-    from .data_model import stratified_kfold
-
-    folds = stratified_kfold(table, k, seed)
-    per_fold = []
-    for train, valid in folds:
-        preds = fold_runner(train, valid)
-        per_fold.append(metrics(confusion(valid.y, preds)))
-
-    def agg(fn):
-        return MetricSet(
-            fn([m.sensitivity for m in per_fold]),
-            fn([m.specificity for m in per_fold]),
-            fn([m.accuracy for m in per_fold]),
-            fn([m.auc for m in per_fold]),
-        )
-
-    mean = agg(lambda v: float(np.mean(v)))
-    std = agg(lambda v: float(np.std(v, ddof=1)))
-    return per_fold, mean, std
 
 
 def t_test_auc(a, b, critical=T_CRITICAL):

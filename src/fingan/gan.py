@@ -96,6 +96,10 @@ class GanConfig:
             raise ValueError("wgan_clip must be positive")
         if self.critic_steps < 1:
             raise ValueError("critic_steps must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.latent_dim < 1:
+            raise ValueError("latent_dim must be >= 1")
 
 
 def _layout_blocks(schema):
@@ -118,23 +122,32 @@ def make_layout(table):
     return GanLayout(_layout_blocks(table.schema), num_cols, mins, maxs)
 
 
+def encode_categoricals(table, blocks, width):
+    """An (n, width) zero array with each categorical block's one-hot bit set.
+
+    The one writer of categorical one-hots for the GAN, kernel and CTGAN
+    encodings; the caller fills its other blocks.
+    """
+    n = table.n_rows
+    out = np.zeros((n, width))
+    for block in blocks:
+        if block.kind == "categorical":
+            out[np.arange(n), block.offset + table.X[:, block.column].astype(int)] = 1.0
+    return out
+
+
 def encode_for_gan(table, layout=None):
     """One-hot categoricals plus [0,1] min-max scaled numerics."""
     if layout is None:
         layout = make_layout(table)
-    n = table.n_rows
-    out = np.zeros((n, layout.width))
-    for block in layout.blocks:
-        if block.kind == "categorical":
-            idx = table.X[:, block.column].astype(int)
-            out[np.arange(n), block.offset + idx] = 1.0
+    out = encode_categoricals(table, layout.blocks, layout.width)
+    start = layout.width - len(layout.numeric_columns)  # the numeric block is last
+    for k, j in enumerate(layout.numeric_columns):
+        lo, hi = layout.numeric_min[k], layout.numeric_max[k]
+        if hi > lo:
+            out[:, start + k] = (table.X[:, j] - lo) / (hi - lo)
         else:
-            for k, j in enumerate(layout.numeric_columns):
-                lo, hi = layout.numeric_min[k], layout.numeric_max[k]
-                if hi > lo:
-                    out[:, block.offset + k] = (table.X[:, j] - lo) / (hi - lo)
-                else:
-                    out[:, block.offset + k] = 0.5
+            out[:, start + k] = 0.5
     return out, layout
 
 

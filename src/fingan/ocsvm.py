@@ -12,7 +12,7 @@ import numpy as np
 
 from .data_model import concat_tables
 from .errors import SchemaMismatch, SolverStallWarning
-from .gan import encode_for_gan, make_layout
+from .gan import _layout_blocks, encode_categoricals
 
 SIGMOID = "sigmoid"
 RBF = "rbf"
@@ -150,24 +150,19 @@ def default_gamma(dim):
     return 1.0 / dim
 
 
-def encode_for_kernel(table, params, layout=None):
-    """Standardized numerics + one-hot categoricals, as kernel inputs."""
+def encode_for_kernel(table, params):
+    """One-hot categoricals + standardized numerics, as kernel and classifier
+    inputs. The blocks are the GAN encoding's, which depend on the schema
+    only; the numeric block keeps the standardized values."""
     from .data_model import apply_preprocess
 
     std = apply_preprocess(table, params, "forward")
-    # one-hot categoricals; numerics kept at their standardized values
-    if layout is None:
-        layout = make_layout(std)
-    n = std.n_rows
-    out = np.zeros((n, layout.width))
-    for block in layout.blocks:
-        if block.kind == "categorical":
-            idx = std.X[:, block.column].astype(int)
-            out[np.arange(n), block.offset + idx] = 1.0
-        else:
-            for k, j in enumerate(layout.numeric_columns):
-                out[:, block.offset + k] = std.X[:, j]
-    return out, layout
+    blocks = _layout_blocks(table.schema)
+    width = sum(b.width for b in blocks)
+    out = encode_categoricals(std, blocks, width)
+    numeric = table.schema.numeric_indices
+    out[:, width - len(numeric):] = std.X[:, numeric]
+    return out
 
 
 def undersample_majority(train, nu, kernel=None, seed=0, params=None):
@@ -183,7 +178,7 @@ def undersample_majority(train, nu, kernel=None, seed=0, params=None):
         raise ValueError("train must contain both classes")
     if params is None:
         params = fit_preprocess(majority)
-    X, _ = encode_for_kernel(majority, params)
+    X = encode_for_kernel(majority, params)
     if kernel is None:
         kernel = KernelSpec(SIGMOID, default_gamma(X.shape[1]), 0.0)
     model = fit_ocsvm(X, nu, kernel, seed)

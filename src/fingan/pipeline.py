@@ -35,7 +35,7 @@ from .data_model import (
     stratified_kfold,
 )
 from .errors import AuditMismatch
-from .evaluation import Rule, confusion, extract_rules, metrics, t_test_auc
+from .evaluation import T_CRITICAL, confusion, extract_rules, metrics, t_test_auc
 from .gan import (
     VANILLA,
     WGAN,
@@ -47,6 +47,7 @@ from .gan import (
 from .ocsvm import KernelSpec, default_gamma, encode_for_kernel, undersample_majority
 
 OVERSAMPLERS = ("none", "gan", "wgan", "ctgan")
+SPLIT_MODES = ("holdout", "kfold")
 CLASSIFIER_KINDS = ("logistic", "tree", "forest", "mlp", "svm")
 ENCODED_KINDS = ("logistic", "mlp", "svm")  # need standardized one-hot inputs
 
@@ -81,6 +82,10 @@ class SplitSettings:
     mode: str = "holdout"  # "holdout" or "kfold"
     train_fraction: float = 0.8
     k: int = 10
+
+    def __post_init__(self):
+        if self.mode not in SPLIT_MODES:
+            raise ValueError(f"unknown split mode {self.mode!r}")
 
 
 @dataclass
@@ -151,7 +156,7 @@ class ExperimentConfig:
 
 
 def train_oversampler(minority, balancer, seed):
-    if balancer.oversampler in (VANILLA, WGAN, "gan"):
+    if balancer.oversampler in ("gan", WGAN):
         mode = VANILLA if balancer.oversampler == "gan" else WGAN
         config = GanConfig(mode=mode, epochs=balancer.epochs,
                            batch_size=balancer.batch_size,
@@ -171,7 +176,8 @@ def train_oversampler(minority, balancer, seed):
 def balance(train, balancer, seed, preprocess_params=None):
     """Apply the configured balancing to a training split.
 
-    Returns (balanced table, audit dict). The audit reconciles exactly:
+    Returns (balanced table, audit dict, oversampler model or None). The
+    audit reconciles exactly:
     majority_kept + minority_original + synthetic = balanced rows.
     """
     audit = {
@@ -223,12 +229,15 @@ def _classifier_name(spec):
     return spec.get("name", spec["kind"])
 
 
-def fit_classifier(spec, balanced, preprocess_params, layout, seed):
+def _features(spec, table, preprocess_params):
+    if spec["kind"] in ENCODED_KINDS:
+        return encode_for_kernel(table, preprocess_params)
+    return table.X
+
+
+def fit_classifier(spec, balanced, preprocess_params, seed):
     kind = spec["kind"]
-    if kind in ENCODED_KINDS:
-        X, _ = encode_for_kernel(balanced, preprocess_params, layout)
-    else:
-        X = balanced.X
+    X = _features(spec, balanced, preprocess_params)
     y = balanced.y
     if kind == "logistic":
         return fit_logistic(X, y, l2=spec.get("l2", 1e-4),
@@ -266,105 +275,78 @@ def fit_classifier(spec, balanced, preprocess_params, layout, seed):
     raise ValueError(f"unknown classifier kind {kind!r}")
 
 
-def predict_labels(spec, model, table, preprocess_params, layout):
-    if spec["kind"] in ENCODED_KINDS:
-        X, _ = encode_for_kernel(table, preprocess_params, layout)
-    else:
-        X = table.X
-    return model.predict(X)
-
-
-def _kernel_layout(train, preprocess_params):
-    _, layout = encode_for_kernel(train, preprocess_params)
-    return layout
+def predict_labels(spec, model, table, preprocess_params):
+    return model.predict(_features(spec, table, preprocess_params))
 
 
 def run_experiment(config):
     """Execute the configured pipeline and write report files.
 
+    Holdout is a run over one split and k-fold a run over k; both go
+    through the same loop and differ only in how the results are reported.
     Returns the report dict. report.json is byte-stable across reruns with
     the same config (the "timings" key aside).
     """
     t_start = time.time()
     schema = Schema.from_json(config.schema_path)
     table = load_csv(config.csv_path, schema)
+    holdout = config.split.mode == "holdout"
     report = {
         "config": config.to_dict(),
         "library_version": __version__,
         "seeds": {"root": config.seed},
         "mode": config.split.mode,
     }
-    timings = {}
+    timings = {"balance_s": 0.0}
 
-    if config.split.mode == "holdout":
-        train, test = stratified_holdout(table, config.split.train_fraction,
-                                         config.seed)
-        preprocess_params = fit_preprocess(train)
-        layout = _kernel_layout(train, preprocess_params)
+    if holdout:
+        splits = [stratified_holdout(table, config.split.train_fraction, config.seed)]
+    else:
+        splits = stratified_kfold(table, config.split.k, config.seed)
+    params, balanced, audits = [], [], []
+    for f, (train, _) in enumerate(splits):
+        params.append(fit_preprocess(train))
         t0 = time.time()
-        balanced, audit, _ = balance(train, config.balancer, config.seed,
-                                     preprocess_params)
-        timings["balance_s"] = time.time() - t0
-        report["audit"] = audit
-        results = {}
-        rules = None
-        for spec in config.classifiers:
-            name = _classifier_name(spec)
-            t0 = time.time()
-            model = fit_classifier(spec, balanced, preprocess_params, layout,
-                                   config.seed)
-            preds = predict_labels(spec, model, test, preprocess_params, layout)
-            timings[f"classifier_{name}_s"] = time.time() - t0
-            counts = confusion(test.y, preds)
-            results[name] = {
-                "confusion": {"tp": counts.tp, "tn": counts.tn,
-                              "fp": counts.fp, "fn": counts.fn},
-                "metrics": metrics(counts).to_dict(),
-            }
+        table_f, audit, _ = balance(train, config.balancer, config.seed + f, params[f])
+        timings["balance_s"] += time.time() - t0
+        balanced.append(table_f)
+        audits.append(audit)
+
+    results = {}
+    fold_aucs = {}
+    rules = None
+    for spec in config.classifiers:
+        name = _classifier_name(spec)
+        t0 = time.time()
+        counts, per_fold = [], []
+        for f, (_, valid) in enumerate(splits):
+            model = fit_classifier(spec, balanced[f], params[f], config.seed + f)
+            preds = predict_labels(spec, model, valid, params[f])
+            counts.append(confusion(valid.y, preds))
+            per_fold.append(metrics(counts[f]))
             if spec["kind"] == "tree" and rules is None:
                 rules = extract_rules(model)
-        report["results"] = results
+        timings[f"classifier_{name}_s"] = time.time() - t0
+        if holdout:
+            c = counts[0]
+            results[name] = {
+                "confusion": {"tp": c.tp, "tn": c.tn, "fp": c.fp, "fn": c.fn},
+                "metrics": per_fold[0].to_dict(),
+            }
+            continue
+        fold_aucs[name] = [m.auc for m in per_fold]
+        rows = [m.to_dict() for m in per_fold]
+        results[name] = {
+            "folds": rows,
+            "mean": {k: float(np.mean([r[k] for r in rows])) for k in rows[0]},
+            "std": {k: float(np.std([r[k] for r in rows], ddof=1)) for k in rows[0]},
+        }
+    report["audit"] = audits[0] if holdout else audits
+    report["results"] = results
+
+    if holdout:
         report["t_tests"] = None  # needs per-fold scores; run kfold mode
     else:
-        folds = stratified_kfold(table, config.split.k, config.seed)
-        preprocess_cache = []
-        balanced_cache = []
-        audits = []
-        for f, (train, _) in enumerate(folds):
-            params = fit_preprocess(train)
-            layout = _kernel_layout(train, params)
-            balanced, audit, _ = balance(train, config.balancer,
-                                         config.seed + f, params)
-            preprocess_cache.append((params, layout))
-            balanced_cache.append(balanced)
-            audits.append(audit)
-        report["audit"] = audits
-        results = {}
-        fold_aucs = {}
-        rules = None
-        for spec in config.classifiers:
-            name = _classifier_name(spec)
-            t0 = time.time()
-            per_fold = []
-            for f, (train, valid) in enumerate(folds):
-                params, layout = preprocess_cache[f]
-                model = fit_classifier(spec, balanced_cache[f], params, layout,
-                                       config.seed + f)
-                preds = predict_labels(spec, model, valid, params, layout)
-                per_fold.append(metrics(confusion(valid.y, preds)))
-                if spec["kind"] == "tree" and rules is None:
-                    rules = extract_rules(model)
-            timings[f"classifier_{name}_s"] = time.time() - t0
-            aucs = [m.auc for m in per_fold]
-            fold_aucs[name] = aucs
-            results[name] = {
-                "folds": [m.to_dict() for m in per_fold],
-                "mean": {k: float(np.mean([m.to_dict()[k] for m in per_fold]))
-                         for k in ("sensitivity", "specificity", "accuracy", "auc")},
-                "std": {k: float(np.std([m.to_dict()[k] for m in per_fold], ddof=1))
-                        for k in ("sensitivity", "specificity", "accuracy", "auc")},
-            }
-        report["results"] = results
         best = max(results, key=lambda n: results[n]["mean"]["auc"])
         t_tests = {}
         for name in results:
@@ -415,11 +397,12 @@ def render_report_text(report):
                      f"{m['auc']:>8.3f} {t_txt:>10}")
     if report.get("t_tests"):
         best = next(iter(report["t_tests"].values()))["vs"]
+        df = 2 * len(report["results"][best]["folds"]) - 2
         lines.append("")
         lines.append(f"t statistics compare each classifier's fold AUCs against "
-                     f"{best!r}; * marks |t| > 2.83 (18 df, 1% level).")
-        lines.append("Note: the 2.83 critical value is used as conventionally "
-                     "quoted; the exact two-tailed 1% value at 18 df is 2.878.")
+                     f"{best!r} ({df} df); * marks |t| > {T_CRITICAL}.")
+        lines.append(f"Note: {T_CRITICAL} is the paper's two-tailed 1% critical value "
+                     f"for k = 10 (18 df; exact 2.878) and is used at every k.")
     lines.append("")
     return "\n".join(lines)
 

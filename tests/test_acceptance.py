@@ -26,31 +26,32 @@ from fingan.classifiers import (
     logistic_objective,
     svm_objective,
 )
+import fingan.pipeline as pipeline
 from fingan.ctgan import (
     DiscreteStats,
+    _sample_cond_batch,
     decode_continuous,
     encode_continuous_batch,
     fit_mode_normalizer,
-    sample_condvec,
     sample_ctgan,
 )
-from fingan.data_model import Schema, load_csv, stratified_holdout
+from fingan.data_model import Schema, load_csv, stratified_holdout, stratified_kfold
 from fingan.evaluation import (
     ConfusionCounts,
     apply_rules,
     confusion,
-    cross_validate,
     extract_rules,
     metrics,
     t_test_auc,
 )
-from fingan.fixtures import blobs_imbalanced, mixed_imbalanced
+from fingan.fixtures import blobs_imbalanced, mixed_imbalanced, table_to_csv
 from fingan.gan import sample_synthetic
 from fingan.ocsvm import KernelSpec, fit_ocsvm, kernel_matrix
 from fingan.pipeline import (
     BalancerSettings,
     ExperimentConfig,
     OcsvmSettings,
+    SplitSettings,
     balance,
     run_experiment,
 )
@@ -160,7 +161,7 @@ def test_ctgan_normalizer():
     stats = DiscreteStats([0], [np.array([999.0, 1.0])], [0])
     expected = math.log(2) / (math.log(2) + math.log(1000))
     rng = np.random.default_rng(7)
-    hits = sum(sample_condvec(stats, rng=rng).category == 1
+    hits = sum(_sample_cond_batch(stats, 1, rng)[1][0] == 1
                for _ in range(100_000))
     got = hits / 100_000
     report("CTGAN condvec: log-frequency Monte Carlo within +/-0.01 at 100k draws",
@@ -274,7 +275,7 @@ def test_classifier_oracles():
 
 # --- 1f. Evaluation -----------------------------------------------------
 
-def test_evaluation():
+def test_evaluation(tmp_path, monkeypatch):
     m = metrics(ConfusionCounts(tp=8, tn=9, fp=1, fn=2))
     identities = (m.sensitivity == 0.8 and m.specificity == 0.9
                   and m.accuracy == 0.85
@@ -301,16 +302,25 @@ def test_evaluation():
            abs(t - expected) <= 1e-10, f"diff {abs(t - expected):.2e}")
 
     table = mixed_imbalanced(90, 30, seed=4)
-    clean = [True]
+    csv_path, schema_path = tmp_path / "cv.csv", tmp_path / "cv.schema.json"
+    table_to_csv(table, csv_path)
+    schema_path.write_text(json.dumps(table.schema.to_dict()))
+    trained = []
+    original = pipeline.fit_classifier
 
-    def runner(train, valid):
-        valid_rows = set(map(tuple, valid.X))
-        if any(tuple(r) in valid_rows for r in train.X):
-            clean[0] = False
-        return valid.y.copy()
+    def spy(spec, balanced, params, seed):
+        trained.append(set(map(tuple, balanced.X)))
+        return original(spec, balanced, params, seed)
 
-    cross_validate(runner, table, k=3, seed=0)
-    report("CV purity sentinel: no validation row reaches training", clean[0])
+    monkeypatch.setattr(pipeline, "fit_classifier", spy)
+    run_experiment(ExperimentConfig(str(csv_path), str(schema_path),
+                                    split=SplitSettings(mode="kfold", k=3),
+                                    classifiers=[{"kind": "tree"}],
+                                    output_dir=str(tmp_path / "cv-out")))
+    folds = stratified_kfold(load_csv(str(csv_path), table.schema), 3, 0)
+    clean = len(trained) == 3 and all(
+        not rows & set(map(tuple, valid.X)) for rows, (_, valid) in zip(trained, folds))
+    report("CV purity sentinel: no validation row reaches training", clean)
 
 
 # --- 1g. Pipeline -------------------------------------------------------
@@ -372,48 +382,43 @@ def test_pipeline_toy_uplift():
 DATA_DIR = os.environ.get("FINGAN_DATA_DIR")
 
 
-def _load_public(stem):
+def _public_paths(stem):
     if not DATA_DIR:
         pytest.skip("FINGAN_DATA_DIR not set; user-supplied data required")
     csv_path = os.path.join(DATA_DIR, f"{stem}.csv")
     schema_path = os.path.join(DATA_DIR, f"{stem}.schema.json")
     if not (os.path.exists(csv_path) and os.path.exists(schema_path)):
         pytest.skip(f"{stem}.csv / {stem}.schema.json not found in FINGAN_DATA_DIR")
+    return csv_path, schema_path
+
+
+def _load_public(stem):
+    csv_path, schema_path = _public_paths(stem)
     return load_csv(csv_path, Schema.from_json(schema_path))
 
 
-def _kfold_auc(table, classifier_kind, oversampler, ocsvm_enabled, seed=0):
-    from fingan.pipeline import _kernel_layout, fit_classifier, predict_labels
-    from fingan.data_model import fit_preprocess, stratified_kfold
-
-    settings = BalancerSettings(
-        oversampler=oversampler, epochs=300,
-        ocsvm=OcsvmSettings(enabled=ocsvm_enabled, nu=0.5))
-    aucs = []
-    for f, (train, valid) in enumerate(stratified_kfold(table, 10, seed)):
-        params = fit_preprocess(train)
-        layout = _kernel_layout(train, params)
-        bal, _, _ = balance(train, settings, seed + f, params)
-        spec = {"kind": classifier_kind}
-        model = fit_classifier(spec, bal, params, layout, seed + f)
-        preds = predict_labels(spec, model, valid, params, layout)
-        aucs.append(metrics(confusion(valid.y, preds)).auc)
-    return float(np.mean(aucs))
+def _kfold_auc(stem, classifier_kind, oversampler, ocsvm_enabled, out_dir):
+    """Mean 10-fold AUC of one classifier from a seed-0 run_experiment."""
+    csv_path, schema_path = _public_paths(stem)
+    config = ExperimentConfig(
+        csv_path, schema_path, split=SplitSettings(mode="kfold", k=10),
+        balancer=BalancerSettings(oversampler=oversampler, epochs=300,
+                                  ocsvm=OcsvmSettings(enabled=ocsvm_enabled, nu=0.5)),
+        classifiers=[{"kind": classifier_kind}], seed=0, output_dir=str(out_dir))
+    return run_experiment(config)["results"][classifier_kind]["mean"]["auc"]
 
 
-def test_loan_default_reproduction():
-    table = _load_public("loan")
-    auc = _kfold_auc(table, "forest", "ctgan", ocsvm_enabled=False)
+def test_loan_default_reproduction(tmp_path):
+    auc = _kfold_auc("loan", "forest", "ctgan", False, tmp_path)
     report("loan default: CTGAN + forest 10-fold AUC >= 0.80",
            auc >= 0.80, f"AUC {auc:.3f} (target band 0.849 +/- 0.05)")
 
 
-def test_churn_reproduction():
-    table = _load_public("churn")
-    auc = _kfold_auc(table, "tree", "ctgan", ocsvm_enabled=False)
+def test_churn_reproduction(tmp_path):
+    auc = _kfold_auc("churn", "tree", "ctgan", False, tmp_path)
     report("churn: CTGAN + tree 10-fold AUC >= 0.82", auc >= 0.82,
            f"AUC {auc:.3f}")
-    train, _ = stratified_holdout(table, 0.8, 0)
+    train, _ = stratified_holdout(_load_public("churn"), 0.8, 0)
     settings = BalancerSettings(oversampler="ctgan", epochs=300)
     from fingan.data_model import fit_preprocess
     params = fit_preprocess(train)
@@ -424,18 +429,16 @@ def test_churn_reproduction():
            f"{n_rules} rules")
 
 
-def test_fraud_reproduction():
-    table = _load_public("fraud")
-    auc = _kfold_auc(table, "forest", "ctgan", ocsvm_enabled=False)
+def test_fraud_reproduction(tmp_path):
+    auc = _kfold_auc("fraud", "forest", "ctgan", False, tmp_path)
     report("insurance fraud: CTGAN + forest 10-fold AUC >= 0.71",
            auc >= 0.71, f"AUC {auc:.3f}")
 
 
 @pytest.mark.parametrize("stem,kind", [("loan", "forest"), ("churn", "tree"),
                                        ("fraud", "forest")])
-def test_hybrid_variant_no_degradation(stem, kind):
-    table = _load_public(stem)
-    plain = _kfold_auc(table, kind, "gan", ocsvm_enabled=False)
-    hybrid = _kfold_auc(table, kind, "gan", ocsvm_enabled=True)
+def test_hybrid_variant_no_degradation(stem, kind, tmp_path):
+    plain = _kfold_auc(stem, kind, "gan", False, tmp_path / "plain")
+    hybrid = _kfold_auc(stem, kind, "gan", True, tmp_path / "hybrid")
     report(f"{stem}: GAN+OCSVM within 0.03 AUC of GAN-only",
            hybrid >= plain - 0.03, f"hybrid {hybrid:.3f} vs plain {plain:.3f}")

@@ -19,10 +19,8 @@ from fingan.ctgan import (
     _sample_cond_batch,
     _sigma_floor,
     decode_continuous,
-    encode_continuous,
     encode_continuous_batch,
     fit_mode_normalizer,
-    sample_condvec,
     sample_ctgan,
     train_ctgan,
 )
@@ -70,16 +68,18 @@ class TestContinuousCoding:
 
     def test_center_encodes_to_zero(self):
         norm = fit_mode_normalizer(np.random.default_rng(0).normal(0, 1, 500), 1)
-        alpha, onehot = encode_continuous(float(norm.means[0]), norm, seed=0)
-        assert alpha == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_array_equal(onehot, [1.0])
+        alphas, onehots = encode_continuous_batch(norm.means[:1], norm,
+                                                  np.random.default_rng(0))
+        assert alphas[0] == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_array_equal(onehots, [[1.0]])
 
     def test_quarter_scale(self):
         # alpha = (value - mean) / (4 * std)
         norm = fit_mode_normalizer(np.random.default_rng(0).normal(0, 1, 50000), 1)
-        value = float(norm.means[0] + 2.0 * norm.stds[0])
-        alpha, _ = encode_continuous(value, norm, seed=0)
-        assert alpha == pytest.approx(0.5, abs=1e-9)
+        value = norm.means[0] + 2.0 * norm.stds[0]
+        alphas, _ = encode_continuous_batch(np.array([value]), norm,
+                                            np.random.default_rng(0))
+        assert alphas[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_decode_inverse(self):
         norm = fit_mode_normalizer(np.random.default_rng(1).normal(0, 1, 500), 1)
@@ -104,15 +104,17 @@ class TestContinuousCoding:
 
 
 class TestCondVec:
+    """One condition per draw: _sample_cond_batch at b = 1."""
+
     def test_single_category_always_hot(self):
         stats = DiscreteStats([0], [np.array([12.0])], [0])
         for seed in range(5):
-            cv = sample_condvec(stats, seed=seed)
-            np.testing.assert_array_equal(cv.onehot, [1.0])
+            _, _, onehot = _sample_cond_batch(stats, 1, np.random.default_rng(seed))
+            np.testing.assert_array_equal(onehot, [[1.0]])
 
     def test_no_discrete_columns(self):
         with pytest.raises(NoDiscreteColumns):
-            sample_condvec(DiscreteStats([], [], []))
+            _sample_cond_batch(DiscreteStats([], [], []), 1, np.random.default_rng(0))
 
     def test_log_frequency_closed_form(self):
         # frequencies (999, 1): rare picked with prob log(2)/(log(2)+log(1000))
@@ -120,7 +122,7 @@ class TestCondVec:
         expected = np.log(2) / (np.log(2) + np.log(1000))
         rng = np.random.default_rng(7)
         draws = 100_000
-        hits = sum(sample_condvec(stats, rng=rng).category == 1 for _ in range(draws))
+        hits = sum(_sample_cond_batch(stats, 1, rng)[1][0] == 1 for _ in range(draws))
         assert hits / draws == pytest.approx(expected, abs=0.01)
 
     def test_column_choice_uniform(self):
@@ -131,8 +133,7 @@ class TestCondVec:
         draws = 100_000
         counts = np.zeros(3)
         for _ in range(draws):
-            cv = sample_condvec(stats, rng=rng)
-            counts[stats.columns.index(cv.column)] += 1
+            counts[_sample_cond_batch(stats, 1, rng)[0][0]] += 1
         np.testing.assert_allclose(counts / draws, np.full(3, 1 / 3), atol=0.02)
 
 
@@ -157,6 +158,12 @@ class TestTrainCtgan:
         np.testing.assert_array_equal(a.X, b.X)
         assert set(np.unique(a.X[:, 1])) <= {0.0, 1.0}
         assert np.all(np.isfinite(a.X))
+
+    @pytest.mark.parametrize("name", ["batch_size", "latent_dim"])
+    def test_size_below_one_rejected(self, name):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=name):
+                CtganConfig(**{name: value})
 
     def test_mixed_label_rejected(self, rare_category_table):
         bad = rare_category_table
@@ -305,26 +312,19 @@ def discrete_table(seed, n=50):
 
 class TestBatchedAgainstPerRow:
     @pytest.mark.parametrize("seed", range(40))
-    def test_condition_draw(self, seed):
+    def test_condition_draw(self, seed, size=37):
         _, stats = discrete_table(seed)
         stats.frequencies[0][seed % 4] = 0.0  # a category never drawn
         stats = DiscreteStats(stats.columns, stats.frequencies, stats.offsets)
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        for want, got in zip(oracle_cond_batch(stats, 37, a),
-                             _sample_cond_batch(stats, 37, b)):
+        for want, got in zip(oracle_cond_batch(stats, size, a),
+                             _sample_cond_batch(stats, size, b)):
             np.testing.assert_array_equal(got, want)
         assert a.random() == b.random()
 
     @pytest.mark.parametrize("seed", range(40))
     def test_single_condition_draw(self, seed):
-        stats = DiscreteStats([0, 2], [np.array([3.0, 0.0, 7.0]), np.array([5.0])],
-                              [0, 3])
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        cols, cats, onehot = oracle_cond_batch(stats, 1, a)
-        cv = sample_condvec(stats, rng=b)
-        assert (cv.column, cv.category) == (stats.columns[cols[0]], cats[0])
-        np.testing.assert_array_equal(cv.onehot, onehot[0])
-        assert a.random() == b.random()
+        self.test_condition_draw(seed, size=1)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_bucket_draw(self, seed):

@@ -10,13 +10,11 @@ from fingan.evaluation import (
     ConfusionCounts,
     apply_rules,
     confusion,
-    cross_validate,
     extract_rules,
     metrics,
     roc_auc,
     t_test_auc,
 )
-from fingan.fixtures import blobs_imbalanced
 
 
 class TestConfusion:
@@ -44,6 +42,9 @@ class TestMetrics:
         assert m.specificity == pytest.approx(0.9)
         assert m.accuracy == pytest.approx(0.85)
         assert m.auc == pytest.approx(0.85)
+        # the majority baseline: every row predicted negative
+        m = metrics(ConfusionCounts(tp=0, tn=20, fp=0, fn=6))
+        assert (m.sensitivity, m.specificity, m.auc) == (0.0, 1.0, 0.5)
 
     def test_auc_is_mean_of_sens_spec(self):
         # 0.83 and 0.90 average to 0.865
@@ -84,43 +85,6 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetric):
             roc_auc([1, 1], [0.2, 0.3])
-
-
-class TestCrossValidate:
-    def test_fold_count_and_mean_identity(self):
-        table = blobs_imbalanced(180, 40, seed=0)
-
-        def runner(train, valid):
-            model = fit_tree(train.X, train.y,
-                             TreeParams(max_features="all"), seed=0)
-            return model.predict(valid.X)
-
-        per_fold, mean, std = cross_validate(runner, table, k=5, seed=1)
-        assert len(per_fold) == 5
-        assert mean.auc == pytest.approx(np.mean([m.auc for m in per_fold]))
-        assert std.auc == pytest.approx(np.std([m.auc for m in per_fold], ddof=1))
-
-    def test_majority_baseline_has_zero_sensitivity(self):
-        table = blobs_imbalanced(100, 30, seed=2)
-
-        def runner(train, valid):
-            return np.zeros(valid.n_rows, dtype=int)
-
-        per_fold, mean, _ = cross_validate(runner, table, k=5, seed=0)
-        assert mean.sensitivity == 0.0
-        assert mean.specificity == 1.0
-        assert mean.auc == pytest.approx(0.5)
-
-    def test_trains_only_on_train_side(self):
-        table = blobs_imbalanced(60, 30, seed=3)
-        seen = []
-
-        def runner(train, valid):
-            seen.append((train.n_rows, valid.n_rows))
-            return valid.y.copy()
-
-        cross_validate(runner, table, k=3, seed=0)
-        assert all(tr + va == 90 for tr, va in seen)
 
 
 class TestTTest:

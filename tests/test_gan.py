@@ -57,6 +57,12 @@ class TestTrainGan:
             with pytest.raises(ValueError):
                 config(critic_steps=0)
 
+    @pytest.mark.parametrize("name", ["batch_size", "latent_dim"])
+    def test_size_below_one_rejected(self, name):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=name):
+                GanConfig(**{name: value})
+
     def test_one_epoch_finite(self):
         table = minority_mixed(30)
         model = train_gan(table, GanConfig(epochs=1, batch_size=16, seed=0))

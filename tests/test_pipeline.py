@@ -64,6 +64,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             BalancerSettings(oversampler="smote")
 
+    @pytest.mark.parametrize("mode", ["Holdout", "cv", ""])
+    def test_unknown_split_mode_rejected(self, tmp_path, mode):
+        with pytest.raises(ValueError, match="split mode"):
+            SplitSettings(mode=mode)
+        with pytest.raises(ValueError, match="split mode"):
+            make_config(tmp_path, mixed_imbalanced(40, 10), split={"mode": mode})
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FINGAN_SEED", "99")
         config = make_config(tmp_path, mixed_imbalanced(40, 10), seed=3)
@@ -148,6 +155,7 @@ class TestRunHoldout:
         out = tmp_path / "out"
         for name in ("report.json", "report.txt", "audit.json", "rules.txt"):
             assert (out / name).exists()
+        assert report["t_tests"] is None and "balance_s" in report["timings"]
         assert set(report["results"]) == {"tree", "logistic"}
         for res in report["results"].values():
             m = res["metrics"]
@@ -180,6 +188,26 @@ class TestRunHoldout:
 
 
 class TestRunKfold:
+    def test_fold_count_and_mean_identity(self, tmp_path):
+        config = make_config(tmp_path, mixed_imbalanced(180, 40, seed=0),
+                             split={"mode": "kfold", "k": 5})
+        report = run_experiment(config)
+        res = report["results"]["tree"]
+        assert len(res["folds"]) == len(report["audit"]) == 5
+        for key in ("sensitivity", "specificity", "accuracy", "auc"):
+            scores = [fold[key] for fold in res["folds"]]
+            assert res["mean"][key] == pytest.approx(np.mean(scores))
+            assert res["std"][key] == pytest.approx(np.std(scores, ddof=1))
+        assert report["timings"]["balance_s"] >= 0.0
+
+    def test_report_text_names_its_df(self, tmp_path):
+        config = make_config(tmp_path, mixed_imbalanced(90, 30, seed=5),
+                             split={"mode": "kfold", "k": 3})
+        run_experiment(config)
+        text = (tmp_path / "out" / "report.txt").read_text()
+        assert "'tree' (4 df); * marks |t| > 2.83." in text
+        assert "2.83 is the paper's two-tailed 1% critical value for k = 10" in text
+
     def test_t_test_matrix(self, tmp_path):
         config = make_config(
             tmp_path, mixed_imbalanced(150, 40, seed=3),
@@ -201,9 +229,9 @@ class TestRunKfold:
         seen = []
         original = pipeline.fit_classifier
 
-        def spy(spec, balanced, params, layout, seed):
+        def spy(spec, balanced, params, seed):
             seen.append(row_multiset(balanced))
-            return original(spec, balanced, params, layout, seed)
+            return original(spec, balanced, params, seed)
 
         monkeypatch.setattr(pipeline, "fit_classifier", spy)
         run_experiment(config)
