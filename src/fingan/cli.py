@@ -12,7 +12,7 @@ from .data_model import Schema, fit_preprocess, load_csv
 from .errors import FinganError
 from .fixtures import table_to_csv, write_fixture_files
 from .gan import GanConfig, GeneratorModel, train_gan
-from .ocsvm import KernelSpec, undersample_majority
+from .ocsvm import KERNEL_KINDS, KernelSpec, undersample_majority
 from .pipeline import ExperimentConfig, render_report_text, run_experiment
 
 
@@ -92,7 +92,7 @@ def cmd_undersample(args):
     kernel = None
     if args.gamma != "auto":
         kernel = KernelSpec(args.kernel, float(args.gamma), args.coef0)
-    kept, model = undersample_majority(table, args.nu, kernel, seed=args.seed)
+    kept, model = undersample_majority(table, args.nu, kernel)
     table_to_csv(kept, args.out)
     if args.model_out:
         with open(args.model_out, "w", encoding="utf-8") as f:
@@ -169,10 +169,9 @@ def build_parser():
     p.add_argument("--csv", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--nu", type=float, default=0.5)
-    p.add_argument("--kernel", choices=["sigmoid", "rbf", "linear"], default="sigmoid")
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default="sigmoid")
     p.add_argument("--gamma", default="auto")
     p.add_argument("--coef0", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV of retained majority rows")
     p.add_argument("--model-out", help="optional model JSON path")
     p.add_argument("--json", action="store_true")

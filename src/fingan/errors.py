@@ -89,6 +89,18 @@ class NotATree(FinganError):
     pass
 
 
+class KernelTooLarge(FinganError):
+    """The dense n x n OCSVM kernel would not fit in physical memory."""
+
+    def __init__(self, n, needed, available):
+        super().__init__(
+            f"OCSVM kernel for n={n} rows needs {needed} bytes (8 n^2), more "
+            f"than the {available} bytes of physical memory")
+        self.n = n
+        self.needed = needed
+        self.available = available
+
+
 class AuditMismatch(FinganError):
     """Balanced row counts do not reconcile with the audit's parts."""
 

@@ -3,24 +3,31 @@
 Solves min 1/2 a'Ka subject to 0 <= a_i <= 1/(nu n), sum a_i = 1 by pairwise
 most-violating coordinate transfers. The solver never inverts K, so the
 indefinite sigmoid kernel is tolerated; a stall flag guards non-convergence.
+
+The fit holds one dense n x n float64 kernel (8 n^2 bytes) and nothing else
+of that size; a kernel larger than physical memory raises KernelTooLarge
+before anything is allocated.
 """
 
+import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data_model import concat_tables
-from .errors import SchemaMismatch, SolverStallWarning
+from .errors import KernelTooLarge, SchemaMismatch, SolverStallWarning
 from .gan import _layout_blocks, encode_categoricals
 
 SIGMOID = "sigmoid"
 RBF = "rbf"
 LINEAR = "linear"
+KERNEL_KINDS = (SIGMOID, RBF, LINEAR)
 
 SV_TOL = 1e-8
 GAP_TOL = 1e-6
 MAX_SWEEPS = 100_000
+ROW_BLOCK = 256  # rows per temporary in kernel_matrix and decision_function
 
 
 @dataclass(frozen=True)
@@ -30,20 +37,63 @@ class KernelSpec:
     coef0: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (SIGMOID, RBF, LINEAR):
+        if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel {self.kind!r}")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
 
 
 def kernel_matrix(spec, A, B=None):
-    B = A if B is None else B
+    """The len(A) x len(B) kernel, built in place in one float64 array.
+
+    Beyond the result, the rbf path allocates one ROW_BLOCK x len(B)
+    temporary at a time. kernel_matrix(spec, A) is exactly symmetric, so a
+    row of it can stand for the column.
+    """
+    symmetric = B is None
+    B = A if symmetric else B
     if spec.kind == LINEAR:
-        return A @ B.T
+        return A @ B.T  # numpy runs A @ A.T as syrk, which writes both triangles alike
     if spec.kind == SIGMOID:
-        return np.tanh(spec.gamma * (A @ B.T) + spec.coef0)
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2 * A @ B.T
-    return np.exp(-spec.gamma * np.maximum(sq, 0.0))
+        K = A @ B.T
+        K *= spec.gamma
+        K += spec.coef0
+        return np.tanh(K, out=K)
+    # (2A)B' rather than 2(AB'): AB' with B = A may run as syrk, whose
+    # rounding differs from gemm's
+    K = (2 * A) @ B.T
+    np.negative(K, out=K)
+    aa = (A * A).sum(axis=1)
+    bb = aa if symmetric else (B * B).sum(axis=1)
+    n = K.shape[0]
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        first = start if symmetric else 0
+        part = K[start:stop, first:]
+        # each entry is (aa_i + bb_j) - 2ab_ij, rounded as written
+        part += aa[start:stop, None] + bb[None, first:]
+        np.maximum(part, 0.0, out=part)
+        part *= -spec.gamma
+        np.exp(part, out=part)
+        if symmetric:
+            # gemm can round (i, j) and (j, i) differently, so the lower
+            # triangle is copied from the upper one rather than computed
+            for left in range(0, start, ROW_BLOCK):
+                K[start:stop, left:left + ROW_BLOCK] = \
+                    K[left:left + ROW_BLOCK, start:stop].T
+            diag = K[start:stop, start:stop]
+            lower = np.tril_indices(stop - start, -1)
+            diag[lower] = diag.T[lower]
+    return K
+
+
+def physical_memory_bytes():
+    """Installed RAM from os.sysconf, or None where the platform has no such
+    query."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 @dataclass
@@ -69,14 +119,21 @@ class OcsvmModel:
         }
 
 
-def fit_ocsvm(X, nu, kernel, seed=0):
-    """Fit on encoded rows (one row per majority sample)."""
+def fit_ocsvm(X, nu, kernel):
+    """Fit on encoded rows (one row per majority sample).
+
+    The model keeps X itself, not a copy.
+    """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if not 0 < nu <= 1:
         raise ValueError("nu must lie in (0, 1]")
     if n < 2:
         raise ValueError("need at least 2 rows")
+    needed = 8 * n * n
+    available = physical_memory_bytes()
+    if available is not None and needed > available:
+        raise KernelTooLarge(n, needed, available)
 
     C = 1.0 / (nu * n)
     K = kernel_matrix(kernel, X)
@@ -119,7 +176,8 @@ def fit_ocsvm(X, nu, kernel, seed=0):
             break
         alpha[i] += lam
         alpha[j] -= lam
-        g += lam * (K[:, i] - K[:, j])
+        # K is symmetric, so rows i and j are columns i and j, read contiguously
+        g += lam * (K[i] - K[j])
         obj += -lam * gap + 0.5 * lam * lam * d
         history.append(obj)
 
@@ -132,18 +190,26 @@ def fit_ocsvm(X, nu, kernel, seed=0):
         lo = g[alpha > 1e-15].max() if (alpha > 1e-15).any() else g.max()
         hi = g[alpha < C - 1e-15].min() if (alpha < C - 1e-15).any() else g.min()
         rho = float((lo + hi) / 2)
-    return OcsvmModel(alpha, rho, kernel, nu, X.copy(), support, stalled, history)
+    return OcsvmModel(alpha, rho, kernel, nu, X, support, stalled, history)
 
 
 def decision_function(model, rows):
-    """Score rows; >= 0 means inside the learned region."""
+    """Score rows; >= 0 means inside the learned region.
+
+    Rows are scored ROW_BLOCK at a time, so the support-vector kernel held at
+    once is n_support x ROW_BLOCK.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != model.X.shape[1]:
         raise SchemaMismatch(
             f"row width {rows.shape[1]} != training width {model.X.shape[1]}")
     sv = model.support_indices
-    Ksv = kernel_matrix(model.kernel, model.X[sv], rows)
-    return model.alpha[sv] @ Ksv - model.rho
+    Xsv, alpha_sv = model.X[sv], model.alpha[sv]
+    scores = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], ROW_BLOCK):
+        blk = slice(start, start + ROW_BLOCK)
+        scores[blk] = alpha_sv @ kernel_matrix(model.kernel, Xsv, rows[blk])
+    return scores - model.rho
 
 
 def default_gamma(dim):
@@ -165,7 +231,7 @@ def encode_for_kernel(table, params):
     return out
 
 
-def undersample_majority(train, nu, kernel=None, seed=0, params=None):
+def undersample_majority(train, nu, kernel=None, params=None):
     """Keep only the majority rows that are support vectors.
 
     Returns (majority subset Table, fitted OcsvmModel). Minority rows are
@@ -181,6 +247,6 @@ def undersample_majority(train, nu, kernel=None, seed=0, params=None):
     X = encode_for_kernel(majority, params)
     if kernel is None:
         kernel = KernelSpec(SIGMOID, default_gamma(X.shape[1]), 0.0)
-    model = fit_ocsvm(X, nu, kernel, seed)
+    model = fit_ocsvm(X, nu, kernel)
     kept = majority.subset(model.support_indices)
     return kept, model

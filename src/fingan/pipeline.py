@@ -44,7 +44,13 @@ from .gan import (
     synthetic_count,
     train_gan,
 )
-from .ocsvm import KernelSpec, default_gamma, encode_for_kernel, undersample_majority
+from .ocsvm import (
+    KERNEL_KINDS,
+    KernelSpec,
+    default_gamma,
+    encode_for_kernel,
+    undersample_majority,
+)
 
 OVERSAMPLERS = ("none", "gan", "wgan", "ctgan")
 SPLIT_MODES = ("holdout", "kfold")
@@ -59,6 +65,20 @@ class OcsvmSettings:
     kernel: str = "sigmoid"
     gamma: object = "auto"  # "auto" -> 1/d
     coef0: float = 0.0
+
+    def __post_init__(self):
+        if not 0 < self.nu <= 1:
+            raise ValueError(f"ocsvm nu must lie in (0, 1], got {self.nu!r}")
+        if self.kernel not in KERNEL_KINDS:
+            raise ValueError(f"unknown ocsvm kernel {self.kernel!r}")
+        if self.gamma != "auto":
+            try:
+                positive = float(self.gamma) > 0
+            except (TypeError, ValueError):
+                positive = False
+            if not positive:
+                raise ValueError(
+                    f"ocsvm gamma must be \"auto\" or positive, got {self.gamma!r}")
 
 
 @dataclass
@@ -75,6 +95,10 @@ class BalancerSettings:
     def __post_init__(self):
         if self.oversampler not in OVERSAMPLERS:
             raise ValueError(f"unknown oversampler {self.oversampler!r}")
+        for name in ("epochs", "batch_size", "latent_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -191,7 +215,7 @@ def balance(train, balancer, seed, preprocess_params=None):
         if gamma != "auto":
             kernel = KernelSpec(spec.kernel, float(gamma), spec.coef0)
         majority_kept, ocsvm_model = undersample_majority(
-            train, spec.nu, kernel, seed=seed, params=preprocess_params)
+            train, spec.nu, kernel, params=preprocess_params)
         if kernel is None:
             kernel = ocsvm_model.kernel
         audit["ocsvm"] = {"nu": spec.nu, "kernel": kernel.kind,

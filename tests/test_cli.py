@@ -84,6 +84,13 @@ def test_undersample(dataset, tmp_path, capsys):
     assert np.all(kept.y == 0)
 
 
+def test_undersample_has_no_seed(dataset, tmp_path):
+    csv_path, schema_path, _ = dataset
+    with pytest.raises(SystemExit):
+        main(["undersample", "--csv", csv_path, "--schema", schema_path,
+              "--seed", "1", "--out", str(tmp_path / "kept.csv")])
+
+
 def test_run_and_report(dataset, tmp_path, capsys):
     csv_path, schema_path, _ = dataset
     out_dir = tmp_path / "out"

@@ -1,17 +1,27 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fingan.ocsvm as ocsvm
 from fingan.data_model import fit_preprocess
-from fingan.errors import SchemaMismatch
+from fingan.errors import KernelTooLarge, SchemaMismatch
 from fingan.fixtures import mixed_imbalanced
 from fingan.ocsvm import (
+    GAP_TOL,
+    ROW_BLOCK,
     KernelSpec,
     decision_function,
     default_gamma,
+    encode_for_kernel,
     fit_ocsvm,
     kernel_matrix,
+    physical_memory_bytes,
     undersample_majority,
 )
+
+KERNELS = [KernelSpec("rbf", 0.3), KernelSpec("sigmoid", 0.2, 0.1),
+           KernelSpec("linear", 1.0)]
 
 
 def project_box_simplex(a, C):
@@ -38,6 +48,99 @@ def brute_force_dual(K, nu, iters=20_000, lr=None):
     for _ in range(iters):
         a = project_box_simplex(a - lr * (K @ a), C)
     return a
+
+
+def naive_kernel(spec, A, B):
+    """The kernel formulas written out, one n x m temporary per step."""
+    if spec.kind == "linear":
+        return A @ B.T
+    if spec.kind == "sigmoid":
+        return np.tanh(spec.gamma * (A @ B.T) + spec.coef0)
+    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2 * A @ B.T
+    return np.exp(-spec.gamma * np.maximum(sq, 0.0))
+
+
+def column_update_fit(X, nu, kernel):
+    """The pairwise solver with its gradient updated from columns of K."""
+    n = X.shape[0]
+    C = 1.0 / (nu * n)
+    K = kernel_matrix(kernel, X)
+    alpha = np.full(n, 1.0 / n)
+    g = K @ alpha
+    obj = 0.5 * float(alpha @ g)
+    history = [obj]
+    while True:
+        can_up = alpha < C - 1e-15
+        can_down = alpha > 1e-15
+        if not can_up.any() or not can_down.any():
+            break
+        i = int(np.argmin(np.where(can_up, g, np.inf)))
+        j = int(np.argmax(np.where(can_down, g, -np.inf)))
+        gap = g[j] - g[i]
+        if gap < GAP_TOL:
+            break
+        lam_max = min(C - alpha[i], alpha[j])
+        d = K[i, i] + K[j, j] - 2 * K[i, j]
+        if d > 1e-15:
+            lam = min(gap / d, lam_max)
+        else:
+            delta_at_max = -lam_max * gap + 0.5 * lam_max**2 * d
+            lam = lam_max if delta_at_max < 0 else 0.0
+        if lam <= 0:
+            break
+        alpha[i] += lam
+        alpha[j] -= lam
+        g += lam * (K[:, i] - K[:, j])
+        obj += -lam * gap + 0.5 * lam * lam * d
+        history.append(obj)
+    margin = np.flatnonzero((alpha > 1e-8) & (alpha < C - 1e-8))
+    return alpha, float(g[margin].mean()), history
+
+
+class TestKernelMatrix:
+    # 40 rows fit in one row block; 300 = 256 + 44 rows do not divide into
+    # blocks, and there OpenBLAS's gemm rounds some (i, j) and (j, i) apart
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("n, m", [(40, 40), (300, 300), (300, 77), (40, 300)])
+    def test_equals_naive_formula(self, kernel, n, m):
+        rng = np.random.default_rng(n + m)
+        A = rng.normal(size=(n, 5))
+        B = rng.normal(size=(m, 5))
+        np.testing.assert_array_equal(kernel_matrix(kernel, A, B),
+                                      naive_kernel(kernel, A, B))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("n", [40, 2 * ROW_BLOCK, 300])
+    def test_square_is_upper_triangle_mirrored(self, kernel, n):
+        A = np.random.default_rng(n).normal(size=(n, 5))
+        naive = naive_kernel(kernel, A, A)
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        K = kernel_matrix(kernel, A)
+        np.testing.assert_array_equal(K, np.where(upper, naive, naive.T))
+
+    @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
+    @pytest.mark.parametrize("n_neg", [60, 300])
+    def test_rows_equal_columns_on_fixtures(self, kernel, n_neg):
+        majority = mixed_imbalanced(n_neg, 10, seed=n_neg).negatives()
+        K = kernel_matrix(kernel, encode_for_kernel(majority, fit_preprocess(majority)))
+        for i in range(K.shape[0]):
+            assert np.array_equal(K[i], K[:, i])
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("m", [None, 700])
+    def test_traced_peak_is_one_kernel(self, kernel, m):
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(1000, 6))
+        B = None if m is None else rng.normal(size=(m, 6))
+        width = 1000 if m is None else m
+        tracemalloc.start()
+        try:
+            K = kernel_matrix(kernel, A, B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert K.shape == (1000, width)
+        assert peak < 1.1 * K.nbytes + 8 * ROW_BLOCK * width
 
 
 class TestFit:
@@ -84,6 +187,41 @@ class TestFit:
         ref = 0.5 * oracle @ K @ oracle
         assert ours <= ref + 1e-4
 
+    @pytest.mark.parametrize("kernel", [KernelSpec("rbf", 0.5), KERNELS[1]],
+                             ids=lambda k: k.kind)
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_row_updates_equal_column_updates(self, kernel, seed):
+        X = np.random.default_rng(seed).normal(size=(300, 3))
+        model = fit_ocsvm(X, 0.3, kernel)
+        alpha, rho, history = column_update_fit(X, 0.3, kernel)
+        np.testing.assert_array_equal(model.alpha, alpha)
+        np.testing.assert_array_equal(model.support_indices, np.flatnonzero(alpha > 1e-8))
+        assert model.rho == rho
+        assert model.objective_history == history
+
+    def test_keeps_callers_array(self):
+        X = np.random.default_rng(10).normal(size=(20, 2))
+        assert fit_ocsvm(X, 0.5, KernelSpec("rbf", 0.5)).X is X
+
+    def test_kernel_too_large_raises_before_allocating(self, monkeypatch):
+        X = np.random.default_rng(12).normal(size=(50, 2))
+        needed = 8 * 50 * 50
+
+        def no_kernel(*args):
+            raise AssertionError("kernel built")
+
+        monkeypatch.setattr(ocsvm, "kernel_matrix", no_kernel)
+        monkeypatch.setattr(ocsvm, "physical_memory_bytes", lambda: needed - 1)
+        with pytest.raises(KernelTooLarge, match=f"n=50 .*{needed} bytes") as info:
+            fit_ocsvm(X, 0.5, KernelSpec("rbf", 0.5))
+        assert (info.value.n, info.value.needed) == (50, needed)
+        monkeypatch.undo()
+        monkeypatch.setattr(ocsvm, "physical_memory_bytes", lambda: needed)
+        assert fit_ocsvm(X, 0.5, KernelSpec("rbf", 0.5)).alpha.shape == (50,)
+
+    def test_physical_memory_probe(self):
+        assert physical_memory_bytes() > 0
+
     def test_kkt_conditions(self):
         X = np.random.default_rng(5).normal(size=(80, 3))
         nu = 0.5
@@ -111,6 +249,24 @@ class TestDecision:
         model = fit_ocsvm(X, 0.3, KernelSpec("rbf", 0.5))
         s = decision_function(model, np.vstack([X[4], X[4]]))
         assert s[0] == s[1]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    def test_blocked_scores_match_one_kernel(self, kernel, monkeypatch):
+        rng = np.random.default_rng(13)
+        model = fit_ocsvm(rng.normal(size=(120, 3)), 0.5, kernel)
+        rows = rng.normal(size=(2 * ROW_BLOCK + 37, 3))
+        sv = model.support_indices
+        whole = model.alpha[sv] @ kernel_matrix(kernel, model.X[sv], rows) - model.rho
+        widths = []
+
+        def recording(spec, A, B=None):
+            widths.append(B.shape[0])
+            return kernel_matrix(spec, A, B)
+
+        monkeypatch.setattr(ocsvm, "kernel_matrix", recording)
+        np.testing.assert_allclose(decision_function(model, rows), whole,
+                                   rtol=0, atol=1e-12)
+        assert widths == [ROW_BLOCK, ROW_BLOCK, 37]
 
     def test_width_mismatch(self):
         X = np.random.default_rng(8).normal(size=(10, 3))

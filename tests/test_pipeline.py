@@ -71,6 +71,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="split mode"):
             make_config(tmp_path, mixed_imbalanced(40, 10), split={"mode": mode})
 
+    @pytest.mark.parametrize("balancer", [
+        {"epochs": 0}, {"batch_size": 0}, {"latent_dim": -1},
+        {"ocsvm": {"nu": 0}}, {"ocsvm": {"nu": 1.5}}, {"ocsvm": {"nu": -0.1}},
+        {"ocsvm": {"kernel": "poly"}},
+        {"ocsvm": {"gamma": 0}}, {"ocsvm": {"gamma": -1.0}},
+        {"ocsvm": {"gamma": "fast"}}, {"ocsvm": {"gamma": None}},
+    ], ids=str)
+    def test_bad_balancer_rejected_before_reading(self, tmp_path, balancer):
+        d = {"dataset": {"csv": str(tmp_path / "absent.csv"),
+                         "schema": str(tmp_path / "absent.schema.json")},
+             "balancer": balancer}
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("ocsvm", [
+        {"nu": 1.0}, {"nu": 0.01, "kernel": "rbf", "gamma": 0.1},
+        {"kernel": "linear", "gamma": "auto"}, {"gamma": "0.5"},
+    ], ids=str)
+    def test_valid_ocsvm_settings_accepted(self, ocsvm):
+        assert OcsvmSettings(**ocsvm).nu == ocsvm.get("nu", 0.5)
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FINGAN_SEED", "99")
         config = make_config(tmp_path, mixed_imbalanced(40, 10), seed=3)
