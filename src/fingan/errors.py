@@ -90,12 +90,12 @@ class NotATree(FinganError):
 
 
 class KernelTooLarge(FinganError):
-    """The dense n x n OCSVM kernel would not fit in physical memory."""
+    """The dense n x n OCSVM kernel alone exceeds the memory limit."""
 
     def __init__(self, n, needed, available):
         super().__init__(
             f"OCSVM kernel for n={n} rows needs {needed} bytes (8 n^2), more "
-            f"than the {available} bytes of physical memory")
+            f"than the {available}-byte memory limit")
         self.n = n
         self.needed = needed
         self.available = available

@@ -5,8 +5,8 @@ most-violating coordinate transfers. The solver never inverts K, so the
 indefinite sigmoid kernel is tolerated; a stall flag guards non-convergence.
 
 The fit holds one dense n x n float64 kernel (8 n^2 bytes) and nothing else
-of that size; a kernel larger than physical memory raises KernelTooLarge
-before anything is allocated.
+of that size; a kernel that alone exceeds the memory limit (installed RAM, or
+a lower cgroup limit) raises KernelTooLarge before anything is allocated.
 """
 
 import os
@@ -27,7 +27,10 @@ KERNEL_KINDS = (SIGMOID, RBF, LINEAR)
 SV_TOL = 1e-8
 GAP_TOL = 1e-6
 MAX_SWEEPS = 100_000
-ROW_BLOCK = 256  # rows per temporary in kernel_matrix and decision_function
+ROW_BLOCK = 256  # rows per temporary in kernel_matrix
+# cgroup v2 and v1 memory limits; "max" or a missing file means no limit
+CGROUP_MEMORY_LIMITS = ("/sys/fs/cgroup/memory.max",
+                        "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
 
 @dataclass(frozen=True)
@@ -87,13 +90,21 @@ def kernel_matrix(spec, A, B=None):
     return K
 
 
-def physical_memory_bytes():
-    """Installed RAM from os.sysconf, or None where the platform has no such
-    query."""
+def memory_limit_bytes():
+    """The smaller of installed RAM (os.sysconf) and this process's cgroup
+    memory limit, or None where neither can be read."""
+    limits = []
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
     except (AttributeError, ValueError, OSError):
-        return None
+        pass
+    for path in CGROUP_MEMORY_LIMITS:
+        try:
+            with open(path) as f:
+                limits.append(int(f.read()))
+        except (OSError, ValueError):
+            pass
+    return min(limits, default=None)
 
 
 @dataclass
@@ -131,7 +142,7 @@ def fit_ocsvm(X, nu, kernel):
     if n < 2:
         raise ValueError("need at least 2 rows")
     needed = 8 * n * n
-    available = physical_memory_bytes()
+    available = memory_limit_bytes()
     if available is not None and needed > available:
         raise KernelTooLarge(n, needed, available)
 
@@ -194,22 +205,14 @@ def fit_ocsvm(X, nu, kernel):
 
 
 def decision_function(model, rows):
-    """Score rows; >= 0 means inside the learned region.
-
-    Rows are scored ROW_BLOCK at a time, so the support-vector kernel held at
-    once is n_support x ROW_BLOCK.
-    """
+    """Score rows; >= 0 means inside the learned region."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != model.X.shape[1]:
         raise SchemaMismatch(
             f"row width {rows.shape[1]} != training width {model.X.shape[1]}")
     sv = model.support_indices
-    Xsv, alpha_sv = model.X[sv], model.alpha[sv]
-    scores = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], ROW_BLOCK):
-        blk = slice(start, start + ROW_BLOCK)
-        scores[blk] = alpha_sv @ kernel_matrix(model.kernel, Xsv, rows[blk])
-    return scores - model.rho
+    Ksv = kernel_matrix(model.kernel, model.X[sv], rows)
+    return model.alpha[sv] @ Ksv - model.rho
 
 
 def default_gamma(dim):

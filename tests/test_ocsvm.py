@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from fingan.ocsvm import (
     encode_for_kernel,
     fit_ocsvm,
     kernel_matrix,
-    physical_memory_bytes,
+    memory_limit_bytes,
     undersample_majority,
 )
 
@@ -211,16 +212,30 @@ class TestFit:
             raise AssertionError("kernel built")
 
         monkeypatch.setattr(ocsvm, "kernel_matrix", no_kernel)
-        monkeypatch.setattr(ocsvm, "physical_memory_bytes", lambda: needed - 1)
+        monkeypatch.setattr(ocsvm, "memory_limit_bytes", lambda: needed - 1)
         with pytest.raises(KernelTooLarge, match=f"n=50 .*{needed} bytes") as info:
             fit_ocsvm(X, 0.5, KernelSpec("rbf", 0.5))
         assert (info.value.n, info.value.needed) == (50, needed)
         monkeypatch.undo()
-        monkeypatch.setattr(ocsvm, "physical_memory_bytes", lambda: needed)
+        monkeypatch.setattr(ocsvm, "memory_limit_bytes", lambda: needed)
         assert fit_ocsvm(X, 0.5, KernelSpec("rbf", 0.5)).alpha.shape == (50,)
 
-    def test_physical_memory_probe(self):
-        assert physical_memory_bytes() > 0
+    def test_memory_probe(self):
+        assert memory_limit_bytes() > 0
+
+    def test_memory_probe_takes_lower_cgroup_limit(self, tmp_path, monkeypatch):
+        installed = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
+        v2.write_text("max\n")
+        v1.write_text(f"{2 * installed}\n")
+        monkeypatch.setattr(ocsvm, "CGROUP_MEMORY_LIMITS",
+                            (str(v2), str(v1), str(tmp_path / "absent")))
+        assert memory_limit_bytes() == installed
+        v2.write_text("1000\n")
+        assert memory_limit_bytes() == 1000
+        X = np.random.default_rng(12).normal(size=(50, 2))
+        with pytest.raises(KernelTooLarge, match="1000-byte memory limit"):
+            fit_ocsvm(X, 0.5, KernelSpec("rbf", 0.5))
 
     def test_kkt_conditions(self):
         X = np.random.default_rng(5).normal(size=(80, 3))
@@ -249,24 +264,6 @@ class TestDecision:
         model = fit_ocsvm(X, 0.3, KernelSpec("rbf", 0.5))
         s = decision_function(model, np.vstack([X[4], X[4]]))
         assert s[0] == s[1]
-
-    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
-    def test_blocked_scores_match_one_kernel(self, kernel, monkeypatch):
-        rng = np.random.default_rng(13)
-        model = fit_ocsvm(rng.normal(size=(120, 3)), 0.5, kernel)
-        rows = rng.normal(size=(2 * ROW_BLOCK + 37, 3))
-        sv = model.support_indices
-        whole = model.alpha[sv] @ kernel_matrix(kernel, model.X[sv], rows) - model.rho
-        widths = []
-
-        def recording(spec, A, B=None):
-            widths.append(B.shape[0])
-            return kernel_matrix(spec, A, B)
-
-        monkeypatch.setattr(ocsvm, "kernel_matrix", recording)
-        np.testing.assert_allclose(decision_function(model, rows), whole,
-                                   rtol=0, atol=1e-12)
-        assert widths == [ROW_BLOCK, ROW_BLOCK, 37]
 
     def test_width_mismatch(self):
         X = np.random.default_rng(8).normal(size=(10, 3))
