@@ -7,7 +7,7 @@ are the ones that define the class boundary; deep-interior points go.
 
 import numpy as np
 
-from fingan import KernelSpec, decision_function, undersample_majority
+from fingan import decision_function, undersample_majority
 from fingan.fixtures import blobs_imbalanced
 
 
@@ -15,15 +15,14 @@ def main():
     table = blobs_imbalanced(950, 50, seed=0)
     print(f"dataset: {table.n_negative} majority / {table.n_positive} minority\n")
 
-    kernel = KernelSpec("rbf", gamma=0.5)
     for nu in (0.2, 0.5, 0.8):
-        kept, model = undersample_majority(table, nu, kernel)
+        kept, model = undersample_majority(table, nu, "rbf", gamma=0.5)
         frac = kept.n_rows / table.n_negative
         print(f"nu={nu}: kept {kept.n_rows:4d} of {table.n_negative} "
               f"majority rows ({frac:.0%} support vectors)")
 
     # the decision function scores >= 0 inside the learned region
-    kept, model = undersample_majority(table, 0.5, kernel)
+    kept, model = undersample_majority(table, 0.5, "rbf", gamma=0.5)
     scores = decision_function(model, model.X)
     inside = (scores >= 0).mean()
     print(f"\nat nu=0.5, {inside:.0%} of training rows score inside the "

@@ -12,7 +12,7 @@ from .data_model import Schema, fit_preprocess, load_csv
 from .errors import FinganError
 from .fixtures import table_to_csv, write_fixture_files
 from .gan import GanConfig, GeneratorModel, train_gan
-from .ocsvm import KERNEL_KINDS, KernelSpec, undersample_majority
+from .ocsvm import KERNEL_KINDS, undersample_majority
 from .pipeline import ExperimentConfig, render_report_text, run_experiment
 
 
@@ -20,10 +20,9 @@ def load_model_file(path):
     with open(path, encoding="utf-8") as f:
         d = json.load(f)
     fmt = d.get("format")
-    if fmt == "fingan-generator-v1":
-        return GeneratorModel.from_dict(d)
-    if fmt == "fingan-ctgan-v1":
-        return CtganModel.from_dict(d)
+    for model_class in (GeneratorModel, CtganModel):
+        if fmt == model_class.FORMAT:
+            return model_class.from_dict(d)
     raise FinganError(f"unrecognized model format {fmt!r}")
 
 
@@ -89,10 +88,7 @@ def cmd_sample(args):
 def cmd_undersample(args):
     schema = Schema.from_json(args.schema)
     table = load_csv(args.csv, schema)
-    kernel = None
-    if args.gamma != "auto":
-        kernel = KernelSpec(args.kernel, float(args.gamma), args.coef0)
-    kept, model = undersample_majority(table, args.nu, kernel)
+    kept, model = undersample_majority(table, args.nu, args.kernel, args.gamma, args.coef0)
     table_to_csv(kept, args.out)
     if args.model_out:
         with open(args.model_out, "w", encoding="utf-8") as f:

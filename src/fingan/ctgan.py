@@ -34,7 +34,6 @@ from .gan import (
     build_generator,
     check_generator,
     encode_categoricals,
-    generator_forward,
     train_adversarial,
 )
 from .nn_core import AdamConfig
@@ -354,12 +353,13 @@ def _encode_table(table, normalizers, blocks, width, rng):
 
 @dataclass
 class CtganModel:
+    FORMAT = "fingan-ctgan-v2"
+
     schema: object
     normalizers: dict  # numeric schema column index -> ModeNormalizer
     blocks: tuple
     enc_width: int
-    trunk: object
-    heads: list
+    generator: object
     latent_dim: int
     stats: DiscreteStats
     history: dict = field(default_factory=dict)
@@ -370,14 +370,13 @@ class CtganModel:
 
     def to_dict(self):
         return {
-            "format": "fingan-ctgan-v1",
+            "format": self.FORMAT,
             "schema": self.schema.to_dict(),
             "normalizers": {str(j): nrm.to_dict() for j, nrm in self.normalizers.items()},
             "blocks": [asdict(b) for b in self.blocks],
             "enc_width": self.enc_width,
             "latent_dim": self.latent_dim,
-            "trunk": nn_core.state_to_dict(self.trunk),
-            "heads": [nn_core.state_to_dict(h) for h in self.heads],
+            "generator": nn_core.state_to_dict(self.generator),
             "stats": {
                 "columns": self.stats.columns,
                 "frequencies": [f.tolist() for f in self.stats.frequencies],
@@ -389,7 +388,7 @@ class CtganModel:
     def from_dict(cls, d):
         from .data_model import Schema
 
-        if d.get("format") != "fingan-ctgan-v1":
+        if d.get("format") != cls.FORMAT:
             raise ValueError(f"unknown model format {d.get('format')!r}")
         schema = Schema.from_dict(d["schema"])
         normalizers = {int(j): ModeNormalizer.from_dict(nd)
@@ -411,10 +410,9 @@ class CtganModel:
                        for b in d["blocks"])
         if (blocks, d["enc_width"]) != _build_ctgan_layout(schema, normalizers):
             raise SchemaMismatch("saved blocks do not match the schema and normalizers")
-        trunk = nn_core.state_from_dict(d["trunk"])
-        heads = [nn_core.state_from_dict(h) for h in d["heads"]]
-        check_generator(trunk, heads, d["latent_dim"] + stats.total_width, blocks)
-        return cls(schema, normalizers, blocks, d["enc_width"], trunk, heads,
+        gen = nn_core.state_from_dict(d["generator"])
+        check_generator(gen, d["latent_dim"] + stats.total_width, blocks)
+        return cls(schema, normalizers, blocks, d["enc_width"], gen,
                    d["latent_dim"], stats)
 
 
@@ -476,7 +474,7 @@ def train_ctgan(minority, config):
 
     stats = build_discrete_stats(minority)
     cond_dim = stats.total_width
-    trunk, heads = build_generator(config.latent_dim + cond_dim, blocks, config.seed)
+    gen = build_generator(config.latent_dim + cond_dim, blocks, config.seed)
     critic = build_discriminator(enc_width + cond_dim, WGAN, config.seed + 1)
 
     if cond_dim:
@@ -505,10 +503,9 @@ def train_ctgan(minority, config):
         draw_condition = condition_loss = None
 
     steps = [config.batch_size] * max(1, minority.n_rows // config.batch_size)
-    history = train_adversarial(trunk, heads, blocks, critic, rng, config, True,
-                                lambda rng: steps, draw_real, draw_condition,
-                                condition_loss)
-    return CtganModel(schema, normalizers, blocks, enc_width, trunk, heads,
+    history = train_adversarial(gen, critic, rng, config, True, lambda rng: steps,
+                                draw_real, draw_condition, condition_loss)
+    return CtganModel(schema, normalizers, blocks, enc_width, gen,
                       config.latent_dim, stats, history=history)
 
 
@@ -572,6 +569,5 @@ def sample_ctgan(model, n, seed, condition=None):
         cond = np.zeros((n, 0))
         enforced = None
     z = rng.standard_normal((n, model.latent_dim))
-    _, _, encoded = generator_forward(model.trunk, model.heads,
-                                      np.concatenate([z, cond], axis=1))
+    encoded = forward(model.generator, np.concatenate([z, cond], axis=1))[-1]
     return _decode_ctgan(model, encoded, enforced)

@@ -1,9 +1,10 @@
 """Vanilla GAN / WGAN oversampling of the minority class.
 
-The generator is a shared trunk feeding two branches: one softmax head per
-categorical column and a single sigmoid head covering all numeric columns.
-Numerics are min-max scaled into [0, 1] (separately from the z-score
-standardization used for classifiers) so the sigmoid head can represent them.
+The generator is one network: hidden ReLU layers, then one output layer
+with an activation segment per output block, a softmax per categorical
+column and one sigmoid covering all numeric columns. Numerics are min-max
+scaled into [0, 1] (separately from the z-score standardization used for
+classifiers) so the sigmoid segment can represent them.
 The discriminator is a fixed stack of leaky-ReLU layers ending in a sigmoid
 (vanilla) or an unbounded score (WGAN critic).
 """
@@ -24,6 +25,7 @@ from .nn_core import (
     bce_loss,
     clip_weights,
     forward,
+    glorot_uniform,
     init_network,
 )
 
@@ -31,9 +33,9 @@ VANILLA = "vanilla"
 WGAN = "wgan"
 
 DISCRIMINATOR_WIDTHS = (128, 64, 32, 16, 8)
-GENERATOR_TRUNK_WIDTHS = (64, 128)
-# generator head activation per block kind, for GAN and CTGAN blocks
-HEAD_ACTIVATIONS = {"categorical": nn_core.SOFTMAX, "numeric": nn_core.SIGMOID,
+GENERATOR_HIDDEN_WIDTHS = (64, 128)
+# generator output activation per block kind, for GAN and CTGAN blocks
+BLOCK_ACTIVATIONS = {"categorical": nn_core.SOFTMAX, "numeric": nn_core.SIGMOID,
                     "alpha": nn_core.TANH, "mode": nn_core.SOFTMAX}
 
 
@@ -167,31 +169,33 @@ def decode_from_gan(encoded, layout, schema, label=1):
     return Table(schema, X, np.full(n, label, dtype=int))
 
 
-def _generator_specs(input_dim, blocks):
-    trunk = NetworkSpec(input_dim,
-                        tuple(Layer(w, nn_core.RELU) for w in GENERATOR_TRUNK_WIDTHS))
-    hidden = GENERATOR_TRUNK_WIDTHS[-1]
-    heads = [NetworkSpec(hidden, (Layer(b.width, HEAD_ACTIVATIONS[b.kind]),))
-             for b in blocks]
-    return trunk, heads
+def _generator_spec(input_dim, blocks):
+    hidden = tuple(Layer(w, nn_core.RELU) for w in GENERATOR_HIDDEN_WIDTHS)
+    segments = tuple((BLOCK_ACTIVATIONS[b.kind], b.width) for b in blocks)
+    output = Layer(sum(b.width for b in blocks), segments)
+    return NetworkSpec(input_dim, hidden + (output,))
 
 
 def build_generator(input_dim, blocks, seed):
-    """A shared trunk on input_dim inputs (latent plus condition width) and
-    one head per output block; returns (trunk, heads)."""
-    trunk_spec, head_specs = _generator_specs(input_dim, blocks)
-    return (init_network(trunk_spec, seed),
-            [init_network(spec, seed + 1000 + i) for i, spec in enumerate(head_specs)])
+    """The generator on input_dim inputs (latent plus condition width) with
+    one output segment per block. Each block's output rows are drawn with
+    their own seed, seed + 1000 + block index, and Glorot bound."""
+    gen = init_network(_generator_spec(input_dim, blocks), seed)
+    fan_in = GENERATOR_HIDDEN_WIDTHS[-1]
+    gen.weights[-1] = np.concatenate([
+        glorot_uniform(np.random.default_rng(seed + 1000 + i), fan_in, b.width)
+        for i, b in enumerate(blocks)])
+    return gen
 
 
-def check_generator(trunk, heads, input_dim, blocks):
-    """Raise SchemaMismatch unless loaded networks have the layers, widths
+def check_generator(gen, input_dim, blocks):
+    """Raise SchemaMismatch unless a loaded generator has the layers, widths
     and activations that build_generator gives input_dim and blocks."""
-    trunk_spec, head_specs = _generator_specs(input_dim, blocks)
-    if trunk.spec != trunk_spec or [h.spec for h in heads] != head_specs:
+    if gen.spec != _generator_spec(input_dim, blocks):
         raise SchemaMismatch(
-            f"saved generator (trunk on {trunk.spec.input_dim} inputs, {len(heads)} "
-            f"heads) does not fit {input_dim} inputs and output blocks {blocks}")
+            f"saved generator (on {gen.spec.input_dim} inputs, output "
+            f"{gen.spec.layers[-1].activation}) does not fit {input_dim} inputs "
+            f"and output blocks {blocks}")
 
 
 def build_discriminator(input_dim, mode, seed):
@@ -201,34 +205,20 @@ def build_discriminator(input_dim, mode, seed):
     return init_network(NetworkSpec(input_dim, layers), seed)
 
 
-def generator_forward(trunk, heads, z):
-    """Returns (trunk activations, head activations, concatenated output)."""
-    trunk_acts = forward(trunk, z)
-    h = trunk_acts[-1]
-    head_acts = [forward(head, h) for head in heads]
-    out = np.concatenate([acts[-1] for acts in head_acts], axis=1)
-    return trunk_acts, head_acts, out
-
-
-def generator_backward_step(trunk, heads, blocks, trunk_acts, head_acts, grad_out, adam):
-    """Backprop grad_out through heads and trunk, then Adam-update all parts."""
-    grad_h = np.zeros_like(trunk_acts[-1])
-    for head, acts, block in zip(heads, head_acts, blocks):
-        sl = slice(block.offset, block.offset + block.width)
-        gw, gb, gin = backward(head, acts, grad_out[:, sl])
-        adam_step(head, gw, gb, adam)
-        grad_h += gin
-    gw, gb, _ = backward(trunk, trunk_acts, grad_h)
-    adam_step(trunk, gw, gb, adam)
+def generator_backward_step(gen, acts, grad_out, adam):
+    """Backprop grad_out through the generator, then Adam-update it."""
+    gw, gb, _ = backward(gen, acts, grad_out)
+    adam_step(gen, gw, gb, adam)
 
 
 @dataclass
 class GeneratorModel:
+    FORMAT = "fingan-generator-v2"
+
     mode: str
     schema: object
     layout: GanLayout
-    trunk: object
-    heads: list
+    generator: object
     latent_dim: int
     history: dict = field(default_factory=dict)
     discriminator: object = None
@@ -239,25 +229,23 @@ class GeneratorModel:
     def sample_encoded(self, n, seed):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, self.latent_dim))
-        _, _, out = generator_forward(self.trunk, self.heads, z)
-        return out
+        return forward(self.generator, z)[-1]
 
     def to_dict(self):
         return {
-            "format": "fingan-generator-v1",
+            "format": self.FORMAT,
             "mode": self.mode,
             "schema": self.schema.to_dict(),
             "layout": self.layout.to_dict(),
             "latent_dim": self.latent_dim,
-            "trunk": nn_core.state_to_dict(self.trunk),
-            "heads": [nn_core.state_to_dict(h) for h in self.heads],
+            "generator": nn_core.state_to_dict(self.generator),
         }
 
     @classmethod
     def from_dict(cls, d):
         from .data_model import Schema
 
-        if d.get("format") != "fingan-generator-v1":
+        if d.get("format") != cls.FORMAT:
             raise ValueError(f"unknown model format {d.get('format')!r}")
         schema = Schema.from_dict(d["schema"])
         layout = GanLayout.from_dict(d["layout"])
@@ -265,10 +253,9 @@ class GeneratorModel:
         if (layout.blocks != _layout_blocks(schema) or layout.numeric_columns != num_cols
                 or not len(layout.numeric_min) == len(layout.numeric_max) == len(num_cols)):
             raise SchemaMismatch("saved layout does not match the saved schema")
-        trunk = nn_core.state_from_dict(d["trunk"])
-        heads = [nn_core.state_from_dict(h) for h in d["heads"]]
-        check_generator(trunk, heads, d["latent_dim"], layout.blocks)
-        return cls(d["mode"], schema, layout, trunk, heads, d["latent_dim"])
+        gen = nn_core.state_from_dict(d["generator"])
+        check_generator(gen, d["latent_dim"], layout.blocks)
+        return cls(d["mode"], schema, layout, gen, d["latent_dim"])
 
 
 def train_gan(minority, config):
@@ -280,7 +267,7 @@ def train_gan(minority, config):
 
     real, layout = encode_for_gan(minority)
     rng = np.random.default_rng(config.seed)
-    trunk, heads = build_generator(config.latent_dim, layout.blocks, config.seed)
+    gen = build_generator(config.latent_dim, layout.blocks, config.seed)
     disc = build_discriminator(layout.width, config.mode, config.seed + 1)
     n, size = minority.n_rows, config.batch_size
 
@@ -293,16 +280,16 @@ def train_gan(minority, config):
             rows = rng.integers(0, n, size=len(rows))
         return real[rows], np.zeros((len(rows), 0))
 
-    history = train_adversarial(trunk, heads, layout.blocks, disc, rng, config,
-                                config.mode == WGAN, batches, draw_real)
-    model = GeneratorModel(config.mode, minority.schema, layout, trunk, heads,
+    history = train_adversarial(gen, disc, rng, config, config.mode == WGAN,
+                                batches, draw_real)
+    model = GeneratorModel(config.mode, minority.schema, layout, gen,
                            config.latent_dim, history=history)
     model.discriminator = disc  # kept for inspection; not serialized
     return model
 
 
-def train_adversarial(trunk, heads, blocks, critic, rng, config, wasserstein,
-                      batches, draw_real, draw_condition=None, condition_loss=None):
+def train_adversarial(gen, critic, rng, config, wasserstein, batches, draw_real,
+                      draw_condition=None, condition_loss=None):
     """The adversarial loop shared by vanilla GAN, WGAN and CTGAN.
 
     Each of config.epochs epochs runs one step per entry of ``batches(rng)``.
@@ -325,7 +312,7 @@ def train_adversarial(trunk, heads, blocks, critic, rng, config, wasserstein,
                 real_batch, cond = draw_real(batch, rng)
                 b = len(real_batch)
                 z = rng.standard_normal((b, config.latent_dim))
-                _, _, fake = generator_forward(trunk, heads, np.concatenate([z, cond], axis=1))
+                fake = forward(gen, np.concatenate([z, cond], axis=1))[-1]
                 acts_r = forward(critic, np.concatenate([real_batch, cond], axis=1))
                 acts_f = forward(critic, np.concatenate([fake, cond], axis=1))
                 if wasserstein:
@@ -348,8 +335,8 @@ def train_adversarial(trunk, heads, blocks, critic, rng, config, wasserstein,
             else:
                 cond, hot = draw_condition(b, rng)
             z = rng.standard_normal((b, config.latent_dim))
-            trunk_acts, head_acts, fake = generator_forward(
-                trunk, heads, np.concatenate([z, cond], axis=1))
+            gen_acts = forward(gen, np.concatenate([z, cond], axis=1))
+            fake = gen_acts[-1]
             acts_d = forward(critic, np.concatenate([fake, cond], axis=1))
             if wasserstein:
                 g_loss, grad = float(-acts_d[-1].mean()), np.full((b, 1), -1.0 / b)
@@ -361,8 +348,7 @@ def train_adversarial(trunk, heads, blocks, critic, rng, config, wasserstein,
             grad_fake = grad_in[:, :fake.shape[1]]
             if hot is not None:
                 g_loss += condition_loss(fake, hot, grad_fake)
-            generator_backward_step(trunk, heads, blocks, trunk_acts, head_acts,
-                                    grad_fake, config.adam)
+            generator_backward_step(gen, gen_acts, grad_fake, config.adam)
             if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
                 raise NonFiniteLoss(epoch, f"d={d_loss} g={g_loss}")
             d_losses.append(d_loss)
@@ -370,7 +356,7 @@ def train_adversarial(trunk, heads, blocks, critic, rng, config, wasserstein,
         d_hist.append(float(np.mean(d_losses)))
         g_hist.append(float(np.mean(g_losses)))
         nn_core.assert_finite(critic)
-        nn_core.assert_finite(trunk)
+        nn_core.assert_finite(gen)
     return {"d_loss": d_hist, "g_loss": g_hist}
 
 

@@ -2,8 +2,11 @@
 
 Shared by the GAN generators/discriminators and the MLP classifier. A layer
 is a dense affine map followed by an elementwise (or row-wise, for softmax)
-activation. Gradients are sum-reduced over the batch, so loss functions that
-want a mean should scale their output gradient by 1/batch.
+activation. A layer's activation may instead be a sequence of (activation,
+width) segments, applied in order to consecutive runs of its columns; the
+generator's output layer has one per output block. Gradients are
+sum-reduced over the batch, so loss functions that want a mean should scale
+their output gradient by 1/batch.
 """
 
 from dataclasses import dataclass, field
@@ -25,12 +28,26 @@ PROB_EPS = 1e-7  # clamp for log() arguments
 @dataclass(frozen=True)
 class Layer:
     width: int
-    activation: str
+    activation: object  # a name, or a sequence of (name, width) segments
     slope: float = 0.2  # leaky ReLU only
+    # (column slice, single-activation Layer) per segment; empty for a name
+    segments: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("layer width must be >= 1")
+        if not isinstance(self.activation, str):
+            # a tuple of tuples: hashable, and equal to a copy read from JSON
+            activation = tuple(map(tuple, self.activation))
+            segments, start = [], 0
+            for name, width in activation:
+                segments.append((slice(start, start + width), Layer(width, name, self.slope)))
+                start += width
+            if start != self.width:
+                raise ValueError(f"segment widths {[w for _, w in activation]} do "
+                                 f"not sum to the layer width {self.width}")
+            object.__setattr__(self, "activation", activation)
+            object.__setattr__(self, "segments", tuple(segments))
         if self.activation == LEAKY_RELU and not 0 < self.slope < 1:
             raise ValueError("leaky ReLU slope must lie in (0, 1)")
 
@@ -77,14 +94,19 @@ class NetworkState:
         )
 
 
+def glorot_uniform(rng, fan_in, fan_out):
+    """A (fan_out, fan_in) weight matrix drawn from the Glorot-uniform range."""
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=(fan_out, fan_in))
+
+
 def init_network(spec, seed):
     """Glorot-uniform weights, zero biases and Adam moments."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     fan_in = spec.input_dim
     for layer in spec.layers:
-        bound = np.sqrt(6.0 / (fan_in + layer.width))
-        weights.append(rng.uniform(-bound, bound, size=(layer.width, fan_in)))
+        weights.append(glorot_uniform(rng, fan_in, layer.width))
         biases.append(np.zeros(layer.width))
         fan_in = layer.width
     zeros = lambda arrs: [np.zeros_like(a) for a in arrs]
@@ -103,6 +125,11 @@ def sigmoid(z):
 
 
 def _activate(z, layer):
+    if layer.segments:
+        out = np.empty_like(z)
+        for sl, part in layer.segments:
+            out[:, sl] = _activate(z[:, sl], part)
+        return out
     if layer.activation == RELU:
         return np.maximum(z, 0.0)
     if layer.activation == LEAKY_RELU:
@@ -122,6 +149,11 @@ def _activate(z, layer):
 
 def _activation_grad(a, upstream, layer):
     """Gradient w.r.t. pre-activation, from the activation output a."""
+    if layer.segments:
+        out = np.empty_like(a)
+        for sl, part in layer.segments:
+            out[:, sl] = _activation_grad(a[:, sl], upstream[:, sl], part)
+        return out
     if layer.activation == RELU:
         return upstream * (a > 0)
     if layer.activation == LEAKY_RELU:

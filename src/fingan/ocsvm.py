@@ -234,11 +234,13 @@ def encode_for_kernel(table, params):
     return out
 
 
-def undersample_majority(train, nu, kernel=None, params=None):
+def undersample_majority(train, nu, kind=SIGMOID, gamma="auto", coef0=0.0, params=None):
     """Keep only the majority rows that are support vectors.
 
-    Returns (majority subset Table, fitted OcsvmModel). Minority rows are
-    untouched; merging is the pipeline's job.
+    The kernel is ``KernelSpec(kind, gamma, coef0)``; gamma "auto" is
+    default_gamma of the encoded width. Returns (majority subset Table,
+    fitted OcsvmModel). Minority rows are untouched; merging is the
+    pipeline's job.
     """
     from .data_model import fit_preprocess
 
@@ -248,8 +250,8 @@ def undersample_majority(train, nu, kernel=None, params=None):
     if params is None:
         params = fit_preprocess(majority)
     X = encode_for_kernel(majority, params)
-    if kernel is None:
-        kernel = KernelSpec(SIGMOID, default_gamma(X.shape[1]), 0.0)
-    model = fit_ocsvm(X, nu, kernel)
+    if gamma == "auto":
+        gamma = default_gamma(X.shape[1])
+    model = fit_ocsvm(X, nu, KernelSpec(kind, float(gamma), coef0))
     kept = majority.subset(model.support_indices)
     return kept, model

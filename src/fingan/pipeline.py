@@ -9,7 +9,7 @@ balancing are always fit on the training side of a split only.
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,13 +44,7 @@ from .gan import (
     synthetic_count,
     train_gan,
 )
-from .ocsvm import (
-    KERNEL_KINDS,
-    KernelSpec,
-    default_gamma,
-    encode_for_kernel,
-    undersample_majority,
-)
+from .ocsvm import KERNEL_KINDS, encode_for_kernel, undersample_majority
 
 OVERSAMPLERS = ("none", "gan", "wgan", "ctgan")
 SPLIT_MODES = ("holdout", "kfold")
@@ -154,25 +148,8 @@ class ExperimentConfig:
         """Fully materialized (defaults included) for self-describing reports."""
         return {
             "dataset": {"csv": self.csv_path, "schema": self.schema_path},
-            "split": {"mode": self.split.mode,
-                      "train_fraction": self.split.train_fraction,
-                      "k": self.split.k},
-            "balancer": {
-                "oversampler": self.balancer.oversampler,
-                "target": self.balancer.target,
-                "epochs": self.balancer.epochs,
-                "batch_size": self.balancer.batch_size,
-                "latent_dim": self.balancer.latent_dim,
-                "learning_rate": self.balancer.learning_rate,
-                "max_modes": self.balancer.max_modes,
-                "ocsvm": {
-                    "enabled": self.balancer.ocsvm.enabled,
-                    "nu": self.balancer.ocsvm.nu,
-                    "kernel": self.balancer.ocsvm.kernel,
-                    "gamma": self.balancer.ocsvm.gamma,
-                    "coef0": self.balancer.ocsvm.coef0,
-                },
-            },
+            "split": asdict(self.split),
+            "balancer": asdict(self.balancer),
             "classifiers": self.classifiers,
             "seed": self.seed,
             "output_dir": self.output_dir,
@@ -210,14 +187,9 @@ def balance(train, balancer, seed, preprocess_params=None):
     }
     if balancer.ocsvm.enabled:
         spec = balancer.ocsvm
-        gamma = spec.gamma
-        kernel = None
-        if gamma != "auto":
-            kernel = KernelSpec(spec.kernel, float(gamma), spec.coef0)
         majority_kept, ocsvm_model = undersample_majority(
-            train, spec.nu, kernel, params=preprocess_params)
-        if kernel is None:
-            kernel = ocsvm_model.kernel
+            train, spec.nu, spec.kernel, spec.gamma, spec.coef0, preprocess_params)
+        kernel = ocsvm_model.kernel
         audit["ocsvm"] = {"nu": spec.nu, "kernel": kernel.kind,
                           "gamma": kernel.gamma, "coef0": kernel.coef0,
                           "support_vectors": majority_kept.n_rows,
@@ -267,26 +239,17 @@ def fit_classifier(spec, balanced, preprocess_params, seed):
         return fit_logistic(X, y, l2=spec.get("l2", 1e-4),
                             epochs=spec.get("epochs", 2000),
                             lr=spec.get("lr", 0.5), seed=seed)
-    if kind == "tree":
-        params = TreeParams(
+    if kind in ("tree", "forest"):
+        tree = TreeParams(
             max_depth=spec.get("max_depth", 10),
             min_samples_leaf=spec.get("min_samples_leaf", 10),
             min_samples_split=spec.get("min_samples_split", 10),
             max_features=spec.get("max_features", "log2"),
         )
-        return fit_tree(X, y, params, seed=seed)
-    if kind == "forest":
-        params = ForestParams(
-            n_estimators=spec.get("n_estimators", 100),
-            tree=TreeParams(
-                max_depth=spec.get("max_depth", 10),
-                min_samples_leaf=spec.get("min_samples_leaf", 10),
-                min_samples_split=spec.get("min_samples_split", 10),
-                max_features=spec.get("max_features", "log2"),
-            ),
-            bootstrap=spec.get("bootstrap", True),
-            seed=seed,
-        )
+        if kind == "tree":
+            return fit_tree(X, y, tree, seed=seed)
+        params = ForestParams(n_estimators=spec.get("n_estimators", 100), tree=tree,
+                              bootstrap=spec.get("bootstrap", True), seed=seed)
         return fit_forest(X, y, params)
     if kind == "mlp":
         params = MlpClfParams(epochs=spec.get("epochs", 100),

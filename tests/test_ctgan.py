@@ -24,7 +24,7 @@ from fingan.ctgan import (
     sample_ctgan,
     train_ctgan,
 )
-from fingan.errors import InvalidOneHot, NoDiscreteColumns, SchemaMismatch, ShapeMismatch
+from fingan.errors import InvalidOneHot, NoDiscreteColumns, SchemaMismatch
 from fingan.nn_core import PROB_EPS
 from fingan.fixtures import rare_category_minority
 
@@ -396,10 +396,23 @@ class TestBatchedAgainstPerRow:
 
 
 def test_truncated_head_rejected_on_load(conditioned_ctgan):
-    d = conditioned_ctgan.to_dict()
-    head = d["heads"][-1]
-    head["weights"][0]["data"] = head["weights"][0]["data"][:-3]
-    with pytest.raises(ShapeMismatch):
+    # drop the last output column: a consistent network whose last segment
+    # is one column short of its block
+    d = json.loads(json.dumps(conditioned_ctgan.to_dict()))
+    layer, weights = d["generator"]["layers"][-1], d["generator"]["weights"][-1]
+    layer["width"] -= 1
+    layer["activation"][-1][1] -= 1
+    fan_in = weights["shape"][1]
+    weights["shape"][0] -= 1
+    weights["data"] = weights["data"][:-fan_in]
+    d["generator"]["biases"][-1].pop()
+    with pytest.raises(SchemaMismatch):
+        CtganModel.from_dict(d)
+
+
+def test_v1_format_rejected(conditioned_ctgan):
+    d = dict(conditioned_ctgan.to_dict(), format="fingan-ctgan-v1")
+    with pytest.raises(ValueError, match="unknown model format"):
         CtganModel.from_dict(d)
 
 
@@ -421,7 +434,7 @@ def _drop_last_mode(d):
     lambda d: d["stats"].update(offsets=[o + 1 for o in d["stats"]["offsets"]]),
     lambda d: d.update(enc_width=d["enc_width"] + 1),
     lambda d: d.update(latent_dim=d["latent_dim"] + 1),
-    lambda d: d["heads"].reverse(),
+    lambda d: d["generator"]["layers"][-1]["activation"].reverse(),
 ], ids=["blocks_reversed", "one_mode_short", "one_mean_short", "no_normalizers",
         "stats_offsets", "enc_width", "latent_dim", "heads_reversed"])
 def test_mismatched_model_rejected_on_load(conditioned_ctgan, tamper):

@@ -66,7 +66,7 @@ class TestTrainGan:
     def test_one_epoch_finite(self):
         table = minority_mixed(30)
         model = train_gan(table, GanConfig(epochs=1, batch_size=16, seed=0))
-        for w in model.trunk.weights:
+        for w in model.generator.weights:
             assert np.all(np.isfinite(w))
         assert len(model.history["d_loss"]) == 1
 
@@ -101,7 +101,6 @@ class TestLossHistory:
         # discriminator: the final one must fool it better. A one-epoch run
         # of the same seed is the final model after its first epoch, as no
         # draw or update depends on the epoch count.
-        from fingan.gan import generator_forward
         from fingan.nn_core import bce_loss, forward
 
         deltas = []
@@ -110,13 +109,12 @@ class TestLossHistory:
             early = train_gan(bimodal_table, GanConfig(mode="vanilla", epochs=1, seed=seed))
             z = np.random.default_rng(100 + seed).standard_normal((512, model.latent_dim))
 
-            def gen_loss(trunk, heads):
-                _, _, fake = generator_forward(trunk, heads, z)
+            def gen_loss(generator):
+                fake = forward(generator, z)[-1]
                 p = forward(model.discriminator, fake)[-1][:, 0]
                 return bce_loss(p, np.ones(len(p)))[0]
 
-            deltas.append(gen_loss(early.trunk, early.heads)
-                          - gen_loss(model.trunk, model.heads))
+            deltas.append(gen_loss(early.generator) - gen_loss(model.generator))
         assert np.median(deltas) > 0
 
     def test_wgan_critic_clipped_throughout(self, wgan_models):
@@ -164,13 +162,21 @@ class TestSampling:
         model = train_gan(minority_mixed(30), GanConfig(epochs=1, batch_size=16))
         saved = json.dumps(model.to_dict())
         GeneratorModel.from_dict(json.loads(saved))
-        for tamper in (lambda d: d["heads"].reverse(),
+        # the output layer's segments are the per-block heads
+        for tamper in (lambda d: d["generator"]["layers"][-1]["activation"].reverse(),
                        lambda d: d["layout"]["blocks"].reverse(),
                        lambda d: d["layout"]["numeric_min"].pop()):
             d = json.loads(saved)
             tamper(d)
             with pytest.raises(SchemaMismatch):
                 GeneratorModel.from_dict(d)
+
+    def test_v1_format_rejected(self):
+        # v1 stored one network per output block; it is not read any more
+        model = train_gan(minority_mixed(30), GanConfig(epochs=1, batch_size=16))
+        d = dict(model.to_dict(), format="fingan-generator-v1")
+        with pytest.raises(ValueError, match="unknown model format"):
+            GeneratorModel.from_dict(d)
 
 
 class TestBalance:

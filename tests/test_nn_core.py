@@ -18,6 +18,8 @@ from fingan.nn_core import (
     state_to_dict,
 )
 
+SEGMENTS = ((nn_core.SOFTMAX, 2), (nn_core.TANH, 1), (nn_core.SOFTMAX, 3),
+            (nn_core.SIGMOID, 1))
 ALL_ACTIVATIONS = [
     Layer(4, nn_core.RELU),
     Layer(4, nn_core.LEAKY_RELU, 0.2),
@@ -25,7 +27,12 @@ ALL_ACTIVATIONS = [
     Layer(4, nn_core.TANH),
     Layer(4, nn_core.SOFTMAX),
     Layer(4, nn_core.IDENTITY),
+    Layer(7, SEGMENTS),
 ]
+
+
+def activation_id(layer):
+    return layer.activation if isinstance(layer.activation, str) else "segmented"
 
 
 def numeric_gradients(state, batch, upstream, h=1e-6):
@@ -114,6 +121,25 @@ class TestForward:
         out = forward(s, np.array([[-1.0]]))[-1]
         assert out[0, 0] == pytest.approx(-0.2)
 
+    def test_segments_activate_their_own_columns(self):
+        s = init_network(NetworkSpec(3, (Layer(7, SEGMENTS),)), seed=2)
+        batch = np.random.default_rng(3).normal(size=(5, 3))
+        z = batch @ s.weights[0].T + s.biases[0]
+        out = forward(s, batch)[-1]
+        np.testing.assert_allclose(out[:, :2].sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(out[:, 2], np.tanh(z[:, 2]))
+        np.testing.assert_allclose(out[:, 3:6].sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(out[:, 6], nn_core.sigmoid(z[:, 6]))
+
+    @pytest.mark.parametrize("segments", [
+        ((nn_core.SOFTMAX, 2), (nn_core.TANH, 1)),  # sums to 3
+        ((nn_core.SOFTMAX, 5), (nn_core.TANH, 1)),  # sums to 6
+        ((nn_core.SOFTMAX, 4), (nn_core.TANH, 0)),  # an empty segment
+    ], ids=["short", "long", "empty"])
+    def test_segment_widths_must_sum_to_width(self, segments):
+        with pytest.raises(ValueError):
+            Layer(4, segments)
+
     def test_shape_and_finite_errors(self):
         spec = NetworkSpec(3, (Layer(2, nn_core.RELU),))
         s = init_network(spec, seed=0)
@@ -124,7 +150,7 @@ class TestForward:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("hidden", ALL_ACTIVATIONS, ids=lambda l: l.activation)
+    @pytest.mark.parametrize("hidden", ALL_ACTIVATIONS, ids=activation_id)
     def test_gradcheck_each_activation(self, hidden):
         spec = NetworkSpec(3, (hidden, Layer(2, nn_core.IDENTITY)))
         s = init_network(spec, seed=7)
@@ -261,6 +287,15 @@ def test_serialization_round_trip():
     restored = state_from_dict(d)
     for a, b in zip(s.weights, restored.weights):
         np.testing.assert_array_equal(a, b)  # bit-exact through JSON
+    batch = np.random.default_rng(0).normal(size=(2, 3))
+    np.testing.assert_array_equal(forward(s, batch)[-1], forward(restored, batch)[-1])
+
+
+def test_serialization_round_trip_with_segments():
+    spec = NetworkSpec(3, (Layer(4, nn_core.RELU), Layer(7, SEGMENTS)))
+    s = init_network(spec, seed=13)
+    restored = state_from_dict(json.loads(json.dumps(state_to_dict(s))))
+    assert restored.spec == spec
     batch = np.random.default_rng(0).normal(size=(2, 3))
     np.testing.assert_array_equal(forward(s, batch)[-1], forward(restored, batch)[-1])
 

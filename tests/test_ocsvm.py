@@ -275,19 +275,19 @@ class TestDecision:
 class TestUndersample:
     def test_nu_one_noop(self):
         table = mixed_imbalanced(60, 15, seed=4)
-        kept, _ = undersample_majority(table, 1.0, KernelSpec("rbf", 0.3))
+        kept, _ = undersample_majority(table, 1.0, "rbf", 0.3)
         assert kept.n_rows == table.n_negative
 
     def test_support_count_lower_bound(self):
         table = mixed_imbalanced(100, 20, seed=5)
         nu = 0.5
-        kept, model = undersample_majority(table, nu, KernelSpec("rbf", 0.3))
+        kept, model = undersample_majority(table, nu, "rbf", 0.3)
         # at least a nu fraction must be support vectors (box constraint)
         assert kept.n_rows >= int(np.ceil(nu * table.n_negative)) - 1
 
     def test_subset_property(self):
         table = mixed_imbalanced(50, 10, seed=6)
-        kept, _ = undersample_majority(table, 0.6, KernelSpec("rbf", 0.3))
+        kept, _ = undersample_majority(table, 0.6, "rbf", 0.3)
         majority_rows = set(map(tuple, table.negatives().X))
         assert all(tuple(r) in majority_rows for r in kept.X)
 

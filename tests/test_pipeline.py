@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import fingan.pipeline as pipeline
-from fingan.data_model import Schema, stratified_kfold
+from fingan.data_model import Schema, fit_preprocess, stratified_kfold
 from fingan.errors import AuditMismatch
 from fingan.fixtures import mixed_imbalanced, table_to_csv
+from fingan.ocsvm import encode_for_kernel
 from fingan.pipeline import (
     BalancerSettings,
     ExperimentConfig,
@@ -50,6 +51,14 @@ class TestConfig:
         d = config.to_dict()
         assert d["balancer"]["ocsvm"]["nu"] == 0.5
         assert d["split"]["k"] == 10
+
+    def test_to_dict_round_trips(self, tmp_path):
+        config = make_config(
+            tmp_path, mixed_imbalanced(40, 10), split={"mode": "kfold", "k": 3},
+            balancer={"oversampler": "ctgan", "target": 25, "max_modes": 4,
+                      "ocsvm": {"enabled": True, "kernel": "rbf", "gamma": 0.2}})
+        d = config.to_dict()
+        assert ExperimentConfig.from_dict(d).to_dict() == d
 
     def test_unknown_classifier_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -119,6 +128,16 @@ class TestBalance:
         assert kept == audit["ocsvm"]["support_vectors"] <= 90
         assert audit["synthetic"] == kept - 10
         assert balanced.n_positive == balanced.n_negative == kept
+
+    def test_ocsvm_kernel_settings_used_with_auto_gamma(self):
+        table = mixed_imbalanced(80, 20, seed=1)
+        settings = BalancerSettings(
+            ocsvm=OcsvmSettings(enabled=True, kernel="rbf", coef0=0.7))
+        _, audit, _ = balance(table, settings, seed=0)
+        width = encode_for_kernel(table, fit_preprocess(table)).shape[1]
+        assert audit["ocsvm"]["kernel"] == "rbf"
+        assert audit["ocsvm"]["coef0"] == 0.7
+        assert audit["ocsvm"]["gamma"] == 1.0 / width
 
     def test_nu_one_hybrid_equals_oversample_only(self):
         # a full-support undersample must leave the hybrid pipeline
