@@ -283,8 +283,8 @@ def fit_mlp_classifier(X, y, params=None):
             idx = order[start:start + params.batch_size]
             acts = forward(net, X[idx])
             loss, grad = bce_loss(acts[-1][:, 0], y[idx])
-            gw, gb, _ = backward(net, acts, grad[:, None])
-            adam_step(net, gw, gb, adam)
+            grad, _ = backward(net, acts, grad[:, None])
+            adam_step(net, grad, adam)
     return FittedClassifier("mlp", X.shape[1], {"net": net})
 
 

@@ -18,6 +18,7 @@ from .errors import (
     EmptyFile,
     MissingColumn,
     SchemaMismatch,
+    ShortRow,
     TooFewSamples,
     UnknownCategory,
     UnparseableNumeric,
@@ -180,6 +181,10 @@ def load_csv(path, schema):
             if c.kind == CATEGORICAL
         }
         for r, record in enumerate(reader):
+            if not record:  # a blank line
+                continue
+            if len(record) < len(header):
+                raise ShortRow(r, len(header), len(record))
             cells = np.empty(len(schema.columns))
             for j, col in enumerate(schema.columns):
                 raw = record[positions[j]].strip()

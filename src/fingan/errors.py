@@ -27,6 +27,14 @@ class UnknownCategory(FinganError):
         self.value = value
 
 
+class ShortRow(FinganError):
+    def __init__(self, row, expected, actual):
+        super().__init__(f"row {row}: {actual} fields, the header has {expected}")
+        self.row = row
+        self.expected = expected
+        self.actual = actual
+
+
 class EmptyFile(FinganError):
     pass
 

@@ -182,7 +182,7 @@ def build_generator(input_dim, blocks, seed):
     their own seed, seed + 1000 + block index, and Glorot bound."""
     gen = init_network(_generator_spec(input_dim, blocks), seed)
     fan_in = GENERATOR_HIDDEN_WIDTHS[-1]
-    gen.weights[-1] = np.concatenate([
+    gen.weights[-1][...] = np.concatenate([
         glorot_uniform(np.random.default_rng(seed + 1000 + i), fan_in, b.width)
         for i, b in enumerate(blocks)])
     return gen
@@ -207,8 +207,8 @@ def build_discriminator(input_dim, mode, seed):
 
 def generator_backward_step(gen, acts, grad_out, adam):
     """Backprop grad_out through the generator, then Adam-update it."""
-    gw, gb, _ = backward(gen, acts, grad_out)
-    adam_step(gen, gw, gb, adam)
+    grad, _ = backward(gen, acts, grad_out)
+    adam_step(gen, grad, adam)
 
 
 @dataclass
@@ -323,10 +323,9 @@ def train_adversarial(gen, critic, rng, config, wasserstein, batches, draw_real,
                     loss_r, grad_r = bce_loss(acts_r[-1][:, 0], np.ones(b))
                     loss_f, grad_f = bce_loss(acts_f[-1][:, 0], np.zeros(b))
                     d_loss, grad_r, grad_f = loss_r + loss_f, grad_r[:, None], grad_f[:, None]
-                gw_r, gb_r, _ = backward(critic, acts_r, grad_r)
-                gw_f, gb_f, _ = backward(critic, acts_f, grad_f)
-                adam_step(critic, [x + y for x, y in zip(gw_r, gw_f)],
-                          [x + y for x, y in zip(gb_r, gb_f)], config.adam)
+                g_r, _ = backward(critic, acts_r, grad_r)
+                g_f, _ = backward(critic, acts_f, grad_f)
+                adam_step(critic, g_r + g_f, config.adam)
                 if wasserstein:
                     clip_weights(critic, config.wgan_clip)
 
@@ -344,7 +343,7 @@ def train_adversarial(gen, critic, rng, config, wasserstein, batches, draw_real,
                 # non-saturating objective: push D(fake) toward 1
                 g_loss, grad = bce_loss(acts_d[-1][:, 0], np.ones(b))
                 grad = grad[:, None]
-            _, _, grad_in = backward(critic, acts_d, grad)
+            _, grad_in = backward(critic, acts_d, grad)
             grad_fake = grad_in[:, :fake.shape[1]]
             if hot is not None:
                 g_loss += condition_loss(fake, hot, grad_fake)

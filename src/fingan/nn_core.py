@@ -7,6 +7,11 @@ width) segments, applied in order to consecutive runs of its columns; the
 generator's output layer has one per output block. Gradients are
 sum-reduced over the batch, so loss functions that want a mean should scale
 their output gradient by 1/batch.
+
+A network's parameters are one flat float64 buffer: layer by layer, the
+(out, in) weights row-major, then the biases. Gradients and both Adam moments
+share that layout, so Adam, clipping and the finiteness check are one call
+per network; the per-layer weights and biases are views (see ``unflatten``).
 """
 
 from dataclasses import dataclass, field
@@ -57,6 +62,24 @@ class NetworkSpec:
     input_dim: int
     layers: tuple  # of Layer
 
+    @property
+    def size(self):
+        """Number of parameters: every layer's weights and biases."""
+        fan_ins = (self.input_dim,) + tuple(l.width for l in self.layers[:-1])
+        return sum((fan_in + 1) * l.width for fan_in, l in zip(fan_ins, self.layers))
+
+
+def unflatten(spec, flat):
+    """Per-layer (out, in) weight views and (out,) bias views into flat."""
+    weights, biases = [], []
+    start, fan_in = 0, spec.input_dim
+    for layer in spec.layers:
+        end = start + layer.width * fan_in
+        weights.append(flat[start:end].reshape(layer.width, fan_in))
+        biases.append(flat[end:end + layer.width])
+        start, fan_in = end + layer.width, layer.width
+    return weights, biases
+
 
 @dataclass
 class AdamConfig:
@@ -73,25 +96,17 @@ class AdamConfig:
 @dataclass
 class NetworkState:
     spec: NetworkSpec
-    weights: list  # per layer, (out, in)
-    biases: list  # per layer, (out,)
-    m_w: list
-    v_w: list
-    m_b: list
-    v_b: list
+    params: np.ndarray  # flat, spec.size values; see unflatten
+    m: np.ndarray  # Adam first moment, same layout
+    v: np.ndarray  # Adam second moment, same layout
     step: int = 0
+    weights: list = field(init=False, repr=False, compare=False)  # views into params
+    biases: list = field(init=False, repr=False, compare=False)
 
-    def copy(self):
-        return NetworkState(
-            self.spec,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            [m.copy() for m in self.m_w],
-            [v.copy() for v in self.v_w],
-            [m.copy() for m in self.m_b],
-            [v.copy() for v in self.v_b],
-            self.step,
-        )
+    def __post_init__(self):
+        if self.params.shape != (self.spec.size,):
+            raise ShapeMismatch(f"{self.params.shape} parameters, expected ({self.spec.size},)")
+        self.weights, self.biases = unflatten(self.spec, self.params)
 
 
 def glorot_uniform(rng, fan_in, fan_out):
@@ -103,15 +118,10 @@ def glorot_uniform(rng, fan_in, fan_out):
 def init_network(spec, seed):
     """Glorot-uniform weights, zero biases and Adam moments."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    fan_in = spec.input_dim
-    for layer in spec.layers:
-        weights.append(glorot_uniform(rng, fan_in, layer.width))
-        biases.append(np.zeros(layer.width))
-        fan_in = layer.width
-    zeros = lambda arrs: [np.zeros_like(a) for a in arrs]
-    return NetworkState(spec, weights, biases, zeros(weights), zeros(weights),
-                        zeros(biases), zeros(biases))
+    state = NetworkState(spec, np.zeros(spec.size), np.zeros(spec.size), np.zeros(spec.size))
+    for W in state.weights:
+        W[...] = glorot_uniform(rng, W.shape[1], W.shape[0])
+    return state
 
 
 def sigmoid(z):
@@ -188,44 +198,38 @@ def forward(state, batch):
 
 
 def backward(state, activations, loss_grad_at_output):
-    """Backprop; returns (weight grads, bias grads, grad w.r.t. input).
+    """Backprop; returns (flat parameter gradient, grad w.r.t. input).
 
-    Weight/bias gradients are summed over the batch.
+    The parameter gradient has the layout of state.params and is summed over
+    the batch.
     """
     grad = np.atleast_2d(np.asarray(loss_grad_at_output, dtype=float))
     if grad.shape != activations[-1].shape:
         raise ShapeMismatch("output gradient shape differs from output activation")
-    grad_w = [None] * len(state.weights)
-    grad_b = [None] * len(state.biases)
-    for i in range(len(state.weights) - 1, -1, -1):
-        layer = state.spec.layers[i]
-        dz = _activation_grad(activations[i + 1], grad, layer)
-        grad_w[i] = dz.T @ activations[i]
-        grad_b[i] = dz.sum(axis=0)
+    flat = np.empty(state.params.size)
+    grad_w, grad_b = unflatten(state.spec, flat)
+    for i in range(len(grad_w) - 1, -1, -1):
+        dz = _activation_grad(activations[i + 1], grad, state.spec.layers[i])
+        np.matmul(dz.T, activations[i], out=grad_w[i])
+        dz.sum(axis=0, out=grad_b[i])
         grad = dz @ state.weights[i]
-    return grad_w, grad_b, grad
+    return flat, grad
 
 
-def adam_step(state, grad_w, grad_b, config):
+def adam_step(state, grad, config):
     """In-place Adam update with bias correction; returns the state."""
-    for g in grad_w + grad_b:
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient("gradient contains NaN or Inf")
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteGradient("gradient contains NaN or Inf")
     state.step += 1
     t = state.step
     b1, b2 = config.beta1, config.beta2
-    for params, grads, ms, vs in (
-        (state.weights, grad_w, state.m_w, state.v_w),
-        (state.biases, grad_b, state.m_b, state.v_b),
-    ):
-        for p, g, m, v in zip(params, grads, ms, vs):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    state.m *= b1
+    state.m += (1 - b1) * grad
+    state.v *= b2
+    state.v += (1 - b2) * grad * grad
+    m_hat = state.m / (1 - b1 ** t)
+    v_hat = state.v / (1 - b2 ** t)
+    state.params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
     return state
 
 
@@ -244,17 +248,13 @@ def bce_loss(predictions, targets):
 
 def clip_weights(state, bound):
     """Clamp every weight and bias into [-bound, bound] (WGAN critic)."""
-    for arrs in (state.weights, state.biases):
-        for a in arrs:
-            np.clip(a, -bound, bound, out=a)
+    np.clip(state.params, -bound, bound, out=state.params)
     return state
 
 
 def assert_finite(state):
-    for arrs in (state.weights, state.biases):
-        for a in arrs:
-            if not np.all(np.isfinite(a)):
-                raise NonFiniteGradient("network state contains NaN or Inf")
+    if not np.all(np.isfinite(state.params)):
+        raise NonFiniteGradient("network state contains NaN or Inf")
 
 
 def state_to_dict(state):
@@ -296,10 +296,8 @@ def state_from_dict(d):
         if len(b) != layer.width:
             raise ShapeMismatch(f"layer {i}: {len(b)} biases, expected {layer.width}")
         fan_in = layer.width
-    state = init_network(spec, seed=0)
-    state.weights = [
-        np.array(w["data"], dtype=float).reshape(w["shape"]) for w in d["weights"]
-    ]
-    state.biases = [np.array(b, dtype=float) for b in d["biases"]]
-    state.step = d.get("step", 0)
-    return state
+    params = np.concatenate([np.asarray(part, dtype=float)
+                             for w, b in zip(d["weights"], d["biases"])
+                             for part in (w["data"], b)])
+    return NetworkState(spec, params, np.zeros_like(params), np.zeros_like(params),
+                        d.get("step", 0))

@@ -9,7 +9,7 @@ balancing are always fit on the training side of a split only.
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .gan import (
     synthetic_count,
     train_gan,
 )
+from .nn_core import AdamConfig
 from .ocsvm import KERNEL_KINDS, encode_for_kernel, undersample_majority
 
 OVERSAMPLERS = ("none", "gan", "wgan", "ctgan")
@@ -89,10 +90,16 @@ class BalancerSettings:
     def __post_init__(self):
         if self.oversampler not in OVERSAMPLERS:
             raise ValueError(f"unknown oversampler {self.oversampler!r}")
-        for name in ("epochs", "batch_size", "latent_dim"):
+        for name in ("epochs", "batch_size", "latent_dim", "max_modes"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        if self.target != "parity" and not (
+                type(self.target) is int and self.target >= 0):
+            raise ValueError(
+                f"target must be \"parity\" or an integer >= 0, got {self.target!r}")
 
 
 @dataclass
@@ -104,6 +111,19 @@ class SplitSettings:
     def __post_init__(self):
         if self.mode not in SPLIT_MODES:
             raise ValueError(f"unknown split mode {self.mode!r}")
+        if self.mode == "holdout" and not 0 < self.train_fraction < 1:
+            raise ValueError(
+                f"train_fraction must lie in (0, 1), got {self.train_fraction!r}")
+        if self.mode == "kfold" and self.k < 2:
+            raise ValueError(f"k must be at least 2, got {self.k!r}")
+
+
+def _settings(cls, section, d):
+    """cls(**d), rejecting keys that are not fields of cls by name."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {section} setting(s): {', '.join(map(repr, unknown))}")
+    return cls(**d)
 
 
 @dataclass
@@ -119,12 +139,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d):
         bal = dict(d.get("balancer", {}))
-        oc = OcsvmSettings(**bal.pop("ocsvm", {}))
+        bal["ocsvm"] = _settings(OcsvmSettings, "balancer.ocsvm", bal.get("ocsvm", {}))
         config = cls(
             csv_path=d["dataset"]["csv"],
             schema_path=d["dataset"]["schema"],
-            split=SplitSettings(**d.get("split", {})),
-            balancer=BalancerSettings(ocsvm=oc, **bal),
+            split=_settings(SplitSettings, "split", d.get("split", {})),
+            balancer=_settings(BalancerSettings, "balancer", bal),
             classifiers=list(d.get("classifiers", [{"kind": "forest"}])),
             seed=int(d.get("seed", 0)),
             output_dir=d.get("output_dir", "fingan-out"),
@@ -157,19 +177,18 @@ class ExperimentConfig:
 
 
 def train_oversampler(minority, balancer, seed):
+    adam = AdamConfig(learning_rate=balancer.learning_rate)
     if balancer.oversampler in ("gan", WGAN):
         mode = VANILLA if balancer.oversampler == "gan" else WGAN
         config = GanConfig(mode=mode, epochs=balancer.epochs,
                            batch_size=balancer.batch_size,
-                           latent_dim=balancer.latent_dim, seed=seed)
-        config.adam.learning_rate = balancer.learning_rate
+                           latent_dim=balancer.latent_dim, adam=adam, seed=seed)
         return train_gan(minority, config)
     if balancer.oversampler == "ctgan":
         config = CtganConfig(epochs=balancer.epochs,
                              batch_size=balancer.batch_size,
                              latent_dim=balancer.latent_dim,
-                             max_modes=balancer.max_modes, seed=seed)
-        config.adam.learning_rate = balancer.learning_rate
+                             max_modes=balancer.max_modes, adam=adam, seed=seed)
         return train_ctgan(minority, config)
     raise ValueError(f"no oversampler for {balancer.oversampler!r}")
 

@@ -100,7 +100,8 @@ def test_nn_core_gradient_checks():
         state = nn_core.init_network(spec, seed=topo_seed)
         batch = rng.normal(size=(5, 4))
         out = nn_core.forward(state, batch)
-        gw, _, _ = nn_core.backward(state, out, out[-1])
+        grad, _ = nn_core.backward(state, out, out[-1])
+        gw, _ = nn_core.unflatten(spec, grad)
         num = numeric_grad(state, batch, loss)
         for a, n in zip(gw, num):
             scale = max(np.abs(n).max(), 1e-8)

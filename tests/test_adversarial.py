@@ -47,6 +47,7 @@ from fingan.nn_core import (
     clip_weights,
     forward,
     init_network,
+    unflatten,
 )
 
 # fused against separate output heads: one matrix product per layer rounds
@@ -80,11 +81,11 @@ def generator_backward_step(trunk, heads, blocks, trunk_acts, head_acts, grad_ou
     grad_h = np.zeros_like(trunk_acts[-1])
     for head, acts, block in zip(heads, head_acts, blocks):
         sl = slice(block.offset, block.offset + block.width)
-        gw, gb, gin = backward(head, acts, grad_out[:, sl])
-        adam_step(head, gw, gb, adam)
+        grad, gin = backward(head, acts, grad_out[:, sl])
+        adam_step(head, grad, adam)
         grad_h += gin
-    gw, gb, _ = backward(trunk, trunk_acts, grad_h)
-    adam_step(trunk, gw, gb, adam)
+    grad, _ = backward(trunk, trunk_acts, grad_h)
+    adam_step(trunk, grad, adam)
 
 
 def fuse(trunk, heads):
@@ -94,11 +95,14 @@ def fuse(trunk, heads):
     layers = [h.spec.layers[0] for h in heads]
     output = Layer(sum(l.width for l in layers),
                    tuple((l.activation, l.width) for l in layers))
-    stacked = {name: getattr(trunk, name) + [np.concatenate(
-                   [getattr(h, name)[0] for h in heads])]
-               for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b")}
-    return NetworkState(NetworkSpec(trunk.spec.input_dim, trunk.spec.layers + (output,)),
-                        step=trunk.step, **stacked)
+    spec = NetworkSpec(trunk.spec.input_dim, trunk.spec.layers + (output,))
+
+    def stacked(name):  # the trunk's buffer, then the heads' weights, then their biases
+        parts = [unflatten(h.spec, getattr(h, name)) for h in heads]
+        return np.concatenate([getattr(trunk, name)] + [w[0].ravel() for w, _ in parts]
+                              + [b[0] for _, b in parts])
+
+    return NetworkState(spec, stacked("params"), stacked("m"), stacked("v"), trunk.step)
 
 
 def oracle_batches(n, batch_size, rng):
@@ -116,13 +120,11 @@ def oracle_vanilla_disc_step(disc, trunk, heads, real_batch, b, config, rng):
     _, _, fake = oracle_sample_fake(trunk, heads, b, config.latent_dim, rng)
     acts_r = forward(disc, real_batch)
     loss_r, grad_r = bce_loss(acts_r[-1][:, 0], np.ones(real_batch.shape[0]))
-    gw_r, gb_r, _ = backward(disc, acts_r, grad_r[:, None])
+    g_r, _ = backward(disc, acts_r, grad_r[:, None])
     acts_f = forward(disc, fake)
     loss_f, grad_f = bce_loss(acts_f[-1][:, 0], np.zeros(b))
-    gw_f, gb_f, _ = backward(disc, acts_f, grad_f[:, None])
-    gw = [a + c for a, c in zip(gw_r, gw_f)]
-    gb = [a + c for a, c in zip(gb_r, gb_f)]
-    adam_step(disc, gw, gb, config.adam)
+    g_f, _ = backward(disc, acts_f, grad_f[:, None])
+    adam_step(disc, g_r + g_f, config.adam)
     return loss_r + loss_f
 
 
@@ -131,7 +133,7 @@ def oracle_vanilla_gen_step(disc, trunk, heads, blocks, b, config, rng):
                                                      config.latent_dim, rng)
     acts_d = forward(disc, fake)
     loss, grad = bce_loss(acts_d[-1][:, 0], np.ones(b))
-    _, _, grad_fake = backward(disc, acts_d, grad[:, None])
+    _, grad_fake = backward(disc, acts_d, grad[:, None])
     generator_backward_step(trunk, heads, blocks, trunk_acts, head_acts,
                             grad_fake, config.adam)
     return loss
@@ -146,11 +148,9 @@ def oracle_wgan_critic_steps(disc, trunk, heads, real, b, config, rng):
         acts_r = forward(disc, real_batch)
         acts_f = forward(disc, fake)
         loss = float(acts_f[-1].mean() - acts_r[-1].mean())
-        gw_r, gb_r, _ = backward(disc, acts_r, np.full((b, 1), -1.0 / b))
-        gw_f, gb_f, _ = backward(disc, acts_f, np.full((b, 1), 1.0 / b))
-        gw = [a + c for a, c in zip(gw_r, gw_f)]
-        gb = [a + c for a, c in zip(gb_r, gb_f)]
-        adam_step(disc, gw, gb, config.adam)
+        g_r, _ = backward(disc, acts_r, np.full((b, 1), -1.0 / b))
+        g_f, _ = backward(disc, acts_f, np.full((b, 1), 1.0 / b))
+        adam_step(disc, g_r + g_f, config.adam)
         clip_weights(disc, config.wgan_clip)
     return loss
 
@@ -160,7 +160,7 @@ def oracle_wgan_gen_step(disc, trunk, heads, blocks, b, config, rng):
                                                      config.latent_dim, rng)
     acts_d = forward(disc, fake)
     loss = float(-acts_d[-1].mean())
-    _, _, grad_fake = backward(disc, acts_d, np.full((b, 1), -1.0 / b))
+    _, grad_fake = backward(disc, acts_d, np.full((b, 1), -1.0 / b))
     generator_backward_step(trunk, heads, blocks, trunk_acts, head_acts,
                             grad_fake, config.adam)
     return loss
@@ -248,11 +248,9 @@ def oracle_train_ctgan(minority, config):
                 acts_r = forward(critic, np.concatenate([real_batch, cond], axis=1))
                 acts_f = forward(critic, np.concatenate([fake, cond], axis=1))
                 c_loss = float(acts_f[-1].mean() - acts_r[-1].mean())
-                gw_r, gb_r, _ = backward(critic, acts_r, np.full((b, 1), -1.0 / b))
-                gw_f, gb_f, _ = backward(critic, acts_f, np.full((b, 1), 1.0 / b))
-                gw = [x + y for x, y in zip(gw_r, gw_f)]
-                gb = [x + y for x, y in zip(gb_r, gb_f)]
-                adam_step(critic, gw, gb, config.adam)
+                g_r, _ = backward(critic, acts_r, np.full((b, 1), -1.0 / b))
+                g_f, _ = backward(critic, acts_f, np.full((b, 1), 1.0 / b))
+                adam_step(critic, g_r + g_f, config.adam)
                 clip_weights(critic, config.wgan_clip)
 
             if conditioned:
@@ -264,7 +262,7 @@ def oracle_train_ctgan(minority, config):
             trunk_acts, head_acts, fake = generator_forward(trunk, heads, gen_in)
             acts_d = forward(critic, np.concatenate([fake, cond], axis=1))
             g_loss = float(-acts_d[-1].mean())
-            _, _, grad_in = backward(critic, acts_d, np.full((b, 1), -1.0 / b))
+            _, grad_in = backward(critic, acts_d, np.full((b, 1), -1.0 / b))
             grad_fake = grad_in[:, :enc_width]
             if conditioned:
                 g_loss += _condition_loss(fake, block_offset[cols] + cats, grad_fake)
@@ -289,9 +287,8 @@ def assert_close(a, b, err_msg=""):
 def assert_same_network(a, b):
     assert a.spec == b.spec
     assert a.step == b.step
-    for name in ("weights", "biases", "m_w", "v_w", "m_b", "v_b"):
-        for x, y in zip(getattr(a, name), getattr(b, name), strict=True):
-            assert_close(x, y, err_msg=name)
+    for name in ("params", "m", "v"):
+        assert_close(getattr(a, name), getattr(b, name), err_msg=name)
 
 
 def assert_same_generator(model, oracle):

@@ -113,6 +113,19 @@ def test_run_and_report(dataset, tmp_path, capsys):
     assert "tree" in text
 
 
+def test_run_unknown_key_exit_1(dataset, tmp_path, capsys):
+    csv_path, schema_path, _ = dataset
+    config = {"dataset": {"csv": csv_path, "schema": schema_path},
+              "balancer": {"oversampler": "gan", "epoch": 3},
+              "output_dir": str(tmp_path / "out")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'epoch'" in err and "balancer" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_fixtures(tmp_path, capsys):
     out_dir = tmp_path / "fixtures"
     assert main(["fixtures", "--out", str(out_dir), "--json"]) == 0

@@ -20,6 +20,7 @@ from fingan.errors import (
     EmptyFile,
     MissingColumn,
     SchemaMismatch,
+    ShortRow,
     TooFewSamples,
     UnknownCategory,
     UnparseableNumeric,
@@ -86,6 +87,21 @@ class TestLoadCsv:
         path.write_text("a,c,t\n1,w,p\n")
         with pytest.raises(UnknownCategory):
             load_csv(path, simple_schema())
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,c,t\n1.5,x,p\n\n2.5,z,n\n\n")
+        table = load_csv(path, simple_schema())
+        np.testing.assert_array_equal(table.X, [[1.5, 0.0], [2.5, 2.0]])
+        assert list(table.y) == [1, 0]
+
+    def test_short_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,c,t\n1.5,x,p\n2.5,z\n")
+        with pytest.raises(ShortRow) as exc:
+            load_csv(path, simple_schema())
+        assert (exc.value.row, exc.value.expected, exc.value.actual) == (1, 3, 2)
+        assert "row 1" in str(exc.value)
 
 
 class TestPreprocess:

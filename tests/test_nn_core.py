@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fingan import nn_core
 from fingan.errors import NonFiniteGradient, NonFiniteInput, ShapeMismatch
@@ -12,10 +14,12 @@ from fingan.nn_core import (
     adam_step,
     backward,
     bce_loss,
+    clip_weights,
     forward,
     init_network,
     state_from_dict,
     state_to_dict,
+    unflatten,
 )
 
 SEGMENTS = ((nn_core.SOFTMAX, 2), (nn_core.TANH, 1), (nn_core.SOFTMAX, 3),
@@ -36,39 +40,22 @@ def activation_id(layer):
 
 
 def numeric_gradients(state, batch, upstream, h=1e-6):
-    """Central finite differences of sum(output * upstream) w.r.t. weights."""
+    """Central finite differences of sum(output * upstream) w.r.t. the flat
+    parameters."""
     def objective():
         return float((forward(state, batch)[-1] * upstream).sum())
 
-    grads_w, grads_b = [], []
-    for W in state.weights:
-        g = np.zeros_like(W)
-        for idx in np.ndindex(W.shape):
-            orig = W[idx]
-            W[idx] = orig + h
-            plus = objective()
-            W[idx] = orig - h
-            minus = objective()
-            W[idx] = orig
-            g[idx] = (plus - minus) / (2 * h)
-        grads_w.append(g)
-    for b in state.biases:
-        g = np.zeros_like(b)
-        for idx in np.ndindex(b.shape):
-            orig = b[idx]
-            b[idx] = orig + h
-            plus = objective()
-            b[idx] = orig - h
-            minus = objective()
-            b[idx] = orig
-            g[idx] = (plus - minus) / (2 * h)
-        grads_b.append(g)
-    return grads_w, grads_b
-
-
-def assert_close_grads(analytic, numeric, rtol=1e-4, atol=1e-6):
-    for a, n in zip(analytic, numeric):
-        np.testing.assert_allclose(a, n, rtol=rtol, atol=atol)
+    p = state.params
+    g = np.zeros_like(p)
+    for i in range(p.size):
+        orig = p[i]
+        p[i] = orig + h
+        plus = objective()
+        p[i] = orig - h
+        minus = objective()
+        p[i] = orig
+        g[i] = (plus - minus) / (2 * h)
+    return g
 
 
 class TestInit:
@@ -85,6 +72,13 @@ class TestInit:
         assert s.weights[0].shape == (128, 32)
         assert s.biases[0].shape == (128,)
         assert s.biases[0].sum() == 0.0
+
+    def test_buffer_size_checked(self):
+        spec = NetworkSpec(3, (Layer(5, nn_core.RELU), Layer(2, nn_core.SIGMOID)))
+        assert spec.size == 3 * 5 + 5 + 5 * 2 + 2
+        for size in (spec.size - 1, spec.size + 1):
+            with pytest.raises(ShapeMismatch):
+                nn_core.NetworkState(spec, np.zeros(size), np.zeros(size), np.zeros(size))
 
     def test_weight_mean_small(self):
         spec = NetworkSpec(128, (Layer(128, nn_core.RELU),))
@@ -158,10 +152,9 @@ class TestBackward:
         batch = rng.normal(size=(5, 3))
         upstream = rng.normal(size=(5, 2))
         acts = forward(s, batch)
-        gw, gb, _ = backward(s, acts, upstream)
-        nw, nb = numeric_gradients(s, batch, upstream)
-        assert_close_grads(gw, nw)
-        assert_close_grads(gb, nb)
+        grad, _ = backward(s, acts, upstream)
+        np.testing.assert_allclose(grad, numeric_gradients(s, batch, upstream),
+                                   rtol=1e-4, atol=1e-6)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradcheck_random_topologies(self, seed):
@@ -176,10 +169,9 @@ class TestBackward:
         batch = rng.normal(size=(4, 4))
         upstream = rng.normal(size=(4, layers[-1].width))
         acts = forward(s, batch)
-        gw, gb, _ = backward(s, acts, upstream)
-        nw, nb = numeric_gradients(s, batch, upstream)
-        assert_close_grads(gw, nw)
-        assert_close_grads(gb, nb)
+        grad, _ = backward(s, acts, upstream)
+        np.testing.assert_allclose(grad, numeric_gradients(s, batch, upstream),
+                                   rtol=1e-4, atol=1e-6)
 
     def test_input_gradient_matches_fd(self):
         spec = NetworkSpec(3, (Layer(4, nn_core.TANH), Layer(2, nn_core.SIGMOID)))
@@ -188,7 +180,7 @@ class TestBackward:
         batch = rng.normal(size=(2, 3))
         upstream = rng.normal(size=(2, 2))
         acts = forward(s, batch)
-        _, _, gin = backward(s, acts, upstream)
+        _, gin = backward(s, acts, upstream)
         h = 1e-6
         for i in np.ndindex(batch.shape):
             b2 = batch.copy()
@@ -202,8 +194,8 @@ class TestBackward:
         spec = NetworkSpec(3, (Layer(4, nn_core.RELU), Layer(1, nn_core.SIGMOID)))
         s = init_network(spec, seed=0)
         acts = forward(s, np.ones((3, 3)))
-        gw, gb, gin = backward(s, acts, np.zeros((3, 1)))
-        assert all(np.all(g == 0) for g in gw + gb)
+        grad, gin = backward(s, acts, np.zeros((3, 1)))
+        assert np.all(grad == 0)
         assert np.all(gin == 0)
 
     def test_duplicated_rows_double_gradient(self):
@@ -212,12 +204,11 @@ class TestBackward:
         batch = np.array([[0.3, -1.2], [0.8, 0.1]])
         up = np.ones((2, 1))
         acts = forward(s, batch)
-        gw1, _, _ = backward(s, acts, up)
+        grad1, _ = backward(s, acts, up)
         doubled = np.vstack([batch, batch])
         acts2 = forward(s, doubled)
-        gw2, _, _ = backward(s, acts2, np.ones((4, 1)))
-        for a, b in zip(gw1, gw2):
-            np.testing.assert_allclose(2 * a, b, rtol=1e-12)
+        grad2, _ = backward(s, acts2, np.ones((4, 1)))
+        np.testing.assert_allclose(2 * grad1, grad2, rtol=1e-12)
 
 
 class TestAdam:
@@ -226,7 +217,7 @@ class TestAdam:
         s = init_network(spec, seed=0)
         w0 = s.weights[0].copy()
         cfg = AdamConfig(learning_rate=0.01)
-        adam_step(s, [np.array([[1.0]])], [np.array([0.0])], cfg)
+        adam_step(s, np.array([1.0, 0.0]), cfg)
         delta = s.weights[0][0, 0] - w0[0, 0]
         # first step: m_hat = g, v_hat = g^2 -> delta = -lr * g/(|g| + eps)
         assert delta == pytest.approx(-0.01, rel=1e-6)
@@ -235,7 +226,7 @@ class TestAdam:
         spec = NetworkSpec(2, (Layer(2, nn_core.RELU),))
         s = init_network(spec, seed=1)
         w0 = [w.copy() for w in s.weights]
-        adam_step(s, [np.zeros((2, 2))], [np.zeros(2)], AdamConfig())
+        adam_step(s, np.zeros(6), AdamConfig())
         for a, b in zip(w0, s.weights):
             np.testing.assert_array_equal(a, b)
         assert s.step == 1
@@ -246,14 +237,84 @@ class TestAdam:
         s1 = init_network(spec, seed=3)
         s2 = init_network(spec, seed=3)
         for s in (s1, s2):
-            adam_step(s, [g.copy()], [np.ones(2)], AdamConfig())
+            adam_step(s, np.concatenate([g.ravel(), np.ones(2)]), AdamConfig())
         np.testing.assert_array_equal(s1.weights[0], s2.weights[0])
 
     def test_nonfinite_rejected(self):
         spec = NetworkSpec(1, (Layer(1, nn_core.IDENTITY),))
         s = init_network(spec, seed=0)
         with pytest.raises(NonFiniteGradient):
-            adam_step(s, [np.array([[np.nan]])], [np.zeros(1)], AdamConfig())
+            adam_step(s, np.array([np.nan, 0.0]), AdamConfig())
+
+
+def list_adam_step(params, moments, grads, t, config):
+    """The per-layer Adam update nn_core made before its flat buffers: params,
+    grads and each of the two moments are lists of arrays updated in place."""
+    b1, b2 = config.beta1, config.beta2
+    for p, g, m, v in zip(params, grads, *moments):
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+
+
+@pytest.mark.parametrize("clip", [None, 0.05])
+def test_flat_adam_matches_per_layer_update(clip):
+    spec = NetworkSpec(5, (Layer(4, nn_core.LEAKY_RELU), Layer(7, SEGMENTS)))
+    s = init_network(spec, seed=6)
+    params = [a.copy() for a in s.weights + s.biases]
+    moments = ([np.zeros_like(a) for a in params], [np.zeros_like(a) for a in params])
+    config = AdamConfig(learning_rate=0.01)
+    rng = np.random.default_rng(0)
+    for t in range(1, 6):
+        grads = [rng.normal(size=a.shape) for a in params]
+        n_layers = len(spec.layers)
+        flat = np.concatenate([part.ravel() for i in range(n_layers)
+                               for part in (grads[i], grads[n_layers + i])])
+        adam_step(s, flat, config)
+        list_adam_step(params, moments, grads, t, config)
+        if clip is not None:
+            clip_weights(s, clip)
+            for a in params:
+                np.clip(a, -clip, clip, out=a)
+        for got, want in zip(s.weights + s.biases, params, strict=True):
+            np.testing.assert_array_equal(got, want)
+    assert s.step == 5
+
+
+ACTIVATION_NAMES = [nn_core.RELU, nn_core.LEAKY_RELU, nn_core.SIGMOID,
+                    nn_core.TANH, nn_core.SOFTMAX, nn_core.IDENTITY]
+plain_layers = st.builds(Layer, st.integers(1, 6), st.sampled_from(ACTIVATION_NAMES))
+segmented_layers = st.lists(
+    st.tuples(st.sampled_from(ACTIVATION_NAMES), st.integers(1, 4)), min_size=1,
+    max_size=4).map(lambda segs: Layer(sum(w for _, w in segs), tuple(segs)))
+specs = st.builds(
+    lambda input_dim, hidden, output: NetworkSpec(input_dim, tuple(hidden) + (output,)),
+    st.integers(1, 6), st.lists(plain_layers, max_size=3),
+    st.one_of(plain_layers, segmented_layers))
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs)
+def test_views_tile_the_flat_buffer(spec):
+    s = init_network(spec, seed=0)
+    s.params[:] = np.arange(spec.size)
+    # layer by layer, weights row-major then biases, every value once
+    tiled = np.concatenate([part.ravel() for W, b in zip(s.weights, s.biases)
+                            for part in (W, b)])
+    np.testing.assert_array_equal(tiled, np.arange(spec.size))
+    fan_in = spec.input_dim
+    for layer, W, b in zip(spec.layers, s.weights, s.biases):
+        assert W.shape == (layer.width, fan_in) and b.shape == (layer.width,)
+        fan_in = layer.width
+    for view in s.weights + s.biases:
+        view[...] = -1.0
+    assert np.all(s.params == -1.0)
+    weights, biases = unflatten(spec, s.m)
+    assert all(np.shares_memory(a, s.m) for a in weights + biases)
 
 
 class TestBce:
@@ -283,10 +344,13 @@ class TestBce:
 def test_serialization_round_trip():
     spec = NetworkSpec(3, (Layer(4, nn_core.LEAKY_RELU, 0.2), Layer(1, nn_core.SIGMOID)))
     s = init_network(spec, seed=13)
+    for _ in range(3):
+        adam_step(s, np.random.default_rng(s.step).normal(size=spec.size), AdamConfig())
     d = json.loads(json.dumps(state_to_dict(s)))
     restored = state_from_dict(d)
-    for a, b in zip(s.weights, restored.weights):
-        np.testing.assert_array_equal(a, b)  # bit-exact through JSON
+    assert restored.spec == spec and restored.step == 3
+    np.testing.assert_array_equal(restored.params, s.params)  # bit-exact through JSON
+    assert restored.params.dtype == np.float64
     batch = np.random.default_rng(0).normal(size=(2, 3))
     np.testing.assert_array_equal(forward(s, batch)[-1], forward(restored, batch)[-1])
 

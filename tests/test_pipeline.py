@@ -86,6 +86,8 @@ class TestConfig:
         {"ocsvm": {"kernel": "poly"}},
         {"ocsvm": {"gamma": 0}}, {"ocsvm": {"gamma": -1.0}},
         {"ocsvm": {"gamma": "fast"}}, {"ocsvm": {"gamma": None}},
+        {"learning_rate": -1.0}, {"learning_rate": 0.0}, {"max_modes": 0},
+        {"target": "Parity"}, {"target": -1}, {"target": 2.5}, {"target": "10"},
     ], ids=str)
     def test_bad_balancer_rejected_before_reading(self, tmp_path, balancer):
         d = {"dataset": {"csv": str(tmp_path / "absent.csv"),
@@ -93,6 +95,37 @@ class TestConfig:
              "balancer": balancer}
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("split", [
+        {"mode": "kfold", "k": 1}, {"mode": "kfold", "k": 0},
+        {"mode": "holdout", "train_fraction": 0.0},
+        {"mode": "holdout", "train_fraction": 1.0},
+    ], ids=str)
+    def test_bad_split_rejected_before_reading(self, tmp_path, split):
+        d = {"dataset": {"csv": str(tmp_path / "absent.csv"),
+                         "schema": str(tmp_path / "absent.schema.json")},
+             "split": split}
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("section, d", [
+        ("split", {"split": {"mode": "kfold", "epoch": 3}}),
+        ("balancer", {"balancer": {"epoch": 3}}),
+        ("balancer.ocsvm", {"balancer": {"ocsvm": {"enabled": True, "epoch": 3}}}),
+    ], ids=["split", "balancer", "balancer.ocsvm"])
+    def test_unknown_key_named(self, section, d):
+        d["dataset"] = {"csv": "absent.csv", "schema": "absent.schema.json"}
+        with pytest.raises(ValueError, match=f"unknown {section} setting.*'epoch'"):
+            ExperimentConfig.from_dict(d)
+
+    def test_learning_rate_reaches_the_oversampler(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(pipeline, "train_ctgan", lambda m, c: seen.append(c))
+        monkeypatch.setattr(pipeline, "train_gan", lambda m, c: seen.append(c))
+        for oversampler in ("gan", "wgan", "ctgan"):
+            pipeline.train_oversampler(
+                None, BalancerSettings(oversampler=oversampler, learning_rate=0.003), 0)
+        assert [c.adam.learning_rate for c in seen] == [0.003] * 3
 
     @pytest.mark.parametrize("ocsvm", [
         {"nu": 1.0}, {"nu": 0.01, "kernel": "rbf", "gamma": 0.1},
