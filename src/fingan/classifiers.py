@@ -28,6 +28,9 @@ class TreeParams:
     def __post_init__(self):
         if min(self.max_depth, self.min_samples_leaf, self.min_samples_split) < 1:
             raise ValueError("tree limits must be >= 1")
+        if self.max_features not in ("log2", "all"):
+            raise ValueError(
+                f"max_features must be \"log2\" or \"all\", got {self.max_features!r}")
 
 
 @dataclass
@@ -49,6 +52,10 @@ class MlpClfParams:
     batch_size: int = 32
     learning_rate: float = 0.001
     seed: int = 0
+
+    def __post_init__(self):
+        if min(self.epochs, self.batch_size) < 1:
+            raise ValueError("mlp epochs and batch_size must be >= 1")
 
 
 @dataclass
@@ -74,27 +81,43 @@ def _check_rows(model, X):
 
 # --- logistic regression -------------------------------------------------
 
-def fit_logistic(X, y, l2=0.0, epochs=5000, lr=0.1, seed=0):
-    """Full-batch gradient descent on L2-regularized cross-entropy.
+NEWTON_MAX_STEPS = 100
 
-    The bias term is not penalized. Stops at gradient norm < 1e-6.
-    """
+
+def fit_logistic(X, y, l2=0.0):
+    """Damped Newton (IRLS) on `logistic_objective`, the bias unpenalized.
+
+    Each step solves the Newton system for its minimum-norm solution, so a
+    singular Hessian (l2 = 0, a column collinear with the bias) still gives
+    one, and is halved until the Armijo condition holds. Stops at gradient
+    norm < 1e-10, after NEWTON_MAX_STEPS steps, or when no step length
+    lowers the objective (its rounding floor)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(np.unique(y)) < 2:
         raise ValueError("both classes must be present")
     n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    for _ in range(epochs):
-        p = sigmoid(X @ w + b)
-        gw = X.T @ (p - y) / n + l2 * w
-        gb = float((p - y).mean())
-        if np.sqrt((gw @ gw) + gb * gb) < 1e-6:
+    A = np.column_stack([X, np.ones(n)])  # the bias is the last coefficient
+    penalty = np.append(np.full(d, l2), 0.0)
+    theta = np.zeros(d + 1)
+    f = logistic_objective(theta[:d], 0.0, X, y, l2)
+    for _ in range(NEWTON_MAX_STEPS):
+        p = sigmoid(A @ theta)
+        g = A.T @ (p - y) / n + penalty * theta
+        if np.linalg.norm(g) < 1e-10:
             break
-        w -= lr * gw
-        b -= lr * gb
-    return FittedClassifier("logistic", d, {"w": w, "b": b, "l2": l2})
+        H = (A.T * (p * (1.0 - p))) @ A / n + np.diag(penalty)
+        step = np.linalg.lstsq(H, g, rcond=None)[0]
+        for t in 0.5 ** np.arange(34):  # backtracking line search
+            trial = theta - t * step
+            f_trial = logistic_objective(trial[:d], trial[d], X, y, l2)
+            if f_trial <= f - 1e-4 * t * (g @ step):
+                break
+        else:  # no step length lowers the objective any more
+            break
+        theta, f = trial, f_trial
+    return FittedClassifier("logistic", d,
+                            {"w": theta[:d], "b": float(theta[d]), "l2": l2})
 
 
 def logistic_objective(w, b, X, y, l2):
@@ -295,10 +318,11 @@ def svm_objective(w, b, X, y_pm, C):
     return float(0.5 * (w @ w) + C * np.maximum(0.0, 1.0 - margins).mean())
 
 
-def fit_svm_linear(X, y, C=1.0, epochs=2000, seed=0):
+def fit_svm_linear(X, y, C=1.0, epochs=2000):
     """Hinge + L2 by full-batch subgradient descent with averaged iterates.
 
-    Probabilities come from a logistic link fitted on the training margins.
+    Probabilities come from a Platt link p = sigmoid(a * m + c) on the
+    training margins m, fitted by `fit_logistic` with l2 = 0.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -322,18 +346,9 @@ def fit_svm_linear(X, y, C=1.0, epochs=2000, seed=0):
         b_avg += (b - b_avg) / t
     w, b = w_avg, b_avg
 
-    # Platt-style link: p = sigmoid(a*m + c) fitted on training margins
-    m = X @ w + b
-    a, c = 1.0, 0.0
-    for _ in range(2000):
-        p = sigmoid(a * m + c)
-        ga = float(((p - y) * m).mean())
-        gc = float((p - y).mean())
-        if math.hypot(ga, gc) < 1e-8:
-            break
-        a -= 0.1 * ga
-        c -= 0.1 * gc
-    return FittedClassifier("svm", d, {"w": w, "b": b, "platt": (a, c), "C": C})
+    link = fit_logistic((X @ w + b)[:, None], y)
+    platt = (float(link.params["w"][0]), link.params["b"])
+    return FittedClassifier("svm", d, {"w": w, "b": b, "platt": platt, "C": C})
 
 
 # --- uniform prediction --------------------------------------------------

@@ -75,6 +75,9 @@ def cmd_train_gan(args):
 def cmd_sample(args):
     model = load_model_file(args.model)
     if args.condition:
+        if not isinstance(model, CtganModel):
+            raise FinganError(f"--condition needs a conditional (CTGAN) model; "
+                              f"{args.model} is {model.FORMAT}")
         col, _, val = args.condition.partition("=")
         table = model.sample(args.n, args.seed, condition=(col, val))
     else:

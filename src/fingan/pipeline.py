@@ -49,7 +49,6 @@ from .ocsvm import KERNEL_KINDS, encode_for_kernel, undersample_majority
 
 OVERSAMPLERS = ("none", "gan", "wgan", "ctgan")
 SPLIT_MODES = ("holdout", "kfold")
-CLASSIFIER_KINDS = ("logistic", "tree", "forest", "mlp", "svm")
 ENCODED_KINDS = ("logistic", "mlp", "svm")  # need standardized one-hot inputs
 
 
@@ -118,11 +117,15 @@ class SplitSettings:
             raise ValueError(f"k must be at least 2, got {self.k!r}")
 
 
-def _settings(cls, section, d):
-    """cls(**d), rejecting keys that are not fields of cls by name."""
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+def _check_keys(section, d, allowed):
+    unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {section} setting(s): {', '.join(map(repr, unknown))}")
+
+
+def _settings(cls, section, d):
+    """cls(**d), rejecting keys that are not fields of cls by name."""
+    _check_keys(section, d, {f.name for f in fields(cls)})
     return cls(**d)
 
 
@@ -138,6 +141,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
+        _check_keys("top-level", d, ("dataset", "split", "balancer", "classifiers",
+                                     "seed", "output_dir"))
+        _check_keys("dataset", d["dataset"], ("csv", "schema"))
         bal = dict(d.get("balancer", {}))
         bal["ocsvm"] = _settings(OcsvmSettings, "balancer.ocsvm", bal.get("ocsvm", {}))
         config = cls(
@@ -155,8 +161,9 @@ class ExperimentConfig:
         if not config.classifiers:
             raise ValueError("at least one classifier is required")
         for spec in config.classifiers:
-            if spec.get("kind") not in CLASSIFIER_KINDS:
-                raise ValueError(f"unknown classifier kind {spec.get('kind')!r}")
+            _fit_call(spec, config.seed)  # checks the kind and the option values
+            _check_keys(f"{spec['kind']} classifier", spec,
+                        ("kind", "name", *CLASSIFIER_OPTIONS[spec["kind"]]))
         return config
 
     @classmethod
@@ -250,35 +257,43 @@ def _features(spec, table, preprocess_params):
     return table.X
 
 
-def fit_classifier(spec, balanced, preprocess_params, seed):
-    kind = spec["kind"]
-    X = _features(spec, balanced, preprocess_params)
-    y = balanced.y
+TREE_OPTIONS = {"max_depth": 10, "min_samples_leaf": 10, "min_samples_split": 10,
+                "max_features": "log2"}
+# The spec keys each classifier kind reads, with their defaults; every kind
+# also accepts "kind" and "name", and rejects any other key.
+CLASSIFIER_OPTIONS = {
+    "logistic": {"l2": 1e-4},
+    "tree": TREE_OPTIONS,
+    "forest": {**TREE_OPTIONS, "n_estimators": 100, "bootstrap": True},
+    "mlp": {"epochs": 100, "batch_size": 32},
+    "svm": {"C": 1.0, "epochs": 2000},
+}
+
+
+def _fit_call(spec, seed):
+    """The fit function for spec's kind and its keyword arguments, defaults
+    filled in."""
+    kind = spec.get("kind")
+    if kind not in CLASSIFIER_OPTIONS:
+        raise ValueError(f"unknown classifier kind {kind!r}")
+    o = {**CLASSIFIER_OPTIONS[kind], **spec}
     if kind == "logistic":
-        return fit_logistic(X, y, l2=spec.get("l2", 1e-4),
-                            epochs=spec.get("epochs", 2000),
-                            lr=spec.get("lr", 0.5), seed=seed)
-    if kind in ("tree", "forest"):
-        tree = TreeParams(
-            max_depth=spec.get("max_depth", 10),
-            min_samples_leaf=spec.get("min_samples_leaf", 10),
-            min_samples_split=spec.get("min_samples_split", 10),
-            max_features=spec.get("max_features", "log2"),
-        )
-        if kind == "tree":
-            return fit_tree(X, y, tree, seed=seed)
-        params = ForestParams(n_estimators=spec.get("n_estimators", 100), tree=tree,
-                              bootstrap=spec.get("bootstrap", True), seed=seed)
-        return fit_forest(X, y, params)
+        return fit_logistic, {"l2": o["l2"]}
     if kind == "mlp":
-        params = MlpClfParams(epochs=spec.get("epochs", 100),
-                              batch_size=spec.get("batch_size", 32),
-                              seed=seed)
-        return fit_mlp_classifier(X, y, params)
+        return fit_mlp_classifier, {"params": MlpClfParams(
+            epochs=o["epochs"], batch_size=o["batch_size"], seed=seed)}
     if kind == "svm":
-        return fit_svm_linear(X, y, C=spec.get("C", 1.0),
-                              epochs=spec.get("epochs", 2000), seed=seed)
-    raise ValueError(f"unknown classifier kind {kind!r}")
+        return fit_svm_linear, {"C": o["C"], "epochs": o["epochs"]}
+    tree = TreeParams(**{k: o[k] for k in TREE_OPTIONS})
+    if kind == "tree":
+        return fit_tree, {"params": tree, "seed": seed}
+    return fit_forest, {"params": ForestParams(
+        n_estimators=o["n_estimators"], tree=tree, bootstrap=o["bootstrap"], seed=seed)}
+
+
+def fit_classifier(spec, balanced, preprocess_params, seed):
+    fit, kwargs = _fit_call(spec, seed)
+    return fit(_features(spec, balanced, preprocess_params), balanced.y, **kwargs)
 
 
 def predict_labels(spec, model, table, preprocess_params):

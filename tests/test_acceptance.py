@@ -247,7 +247,7 @@ def test_classifier_oracles():
     Xs = np.vstack([rng.normal(0, 0.6, (20, 2)), rng.normal(1.5, 0.6, (20, 2))])
     ys = np.repeat([0, 1], 20)
     l2 = 0.5
-    lg = fit_logistic(Xs, ys, l2=l2, epochs=200_000, lr=0.5)
+    lg = fit_logistic(Xs, ys, l2=l2)
     ref = minimize(lambda th: logistic_objective(th[:-1], th[-1], Xs, ys, l2),
                    np.zeros(3), method="BFGS")
     coef_err = max(np.abs(lg.params["w"] - ref.x[:-1]).max(),

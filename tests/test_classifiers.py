@@ -19,7 +19,11 @@ from fingan.classifiers import (
     logistic_objective,
     svm_objective,
 )
+from fingan.data_model import fit_preprocess
 from fingan.errors import SchemaMismatch
+from fingan.fixtures import mixed_imbalanced
+from fingan.nn_core import sigmoid
+from fingan.ocsvm import encode_for_kernel
 
 
 def separable(n=60, seed=0, gap=3.0):
@@ -77,6 +81,35 @@ def scalar_best_split(X, y, feature_subset, min_samples_leaf):
     return best[1], best[2], best[0]
 
 
+def gradient_descent_logistic(X, y, l2, epochs=2000, lr=0.5):
+    """Reference: the full-batch gradient descent that fit_logistic's Newton
+    solver replaced, at the pipeline's former defaults."""
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    for _ in range(epochs):
+        p = sigmoid(X @ w + b)
+        gw = X.T @ (p - y) / n + l2 * w
+        gb = float((p - y).mean())
+        if np.sqrt((gw @ gw) + gb * gb) < 1e-6:
+            break
+        w -= lr * gw
+        b -= lr * gb
+    return w, b
+
+
+def logistic_gradient(w, b, X, y, l2):
+    p = sigmoid(X @ w + b)
+    return np.append(X.T @ (p - y) / len(y) + l2 * w, (p - y).mean())
+
+
+def encoded_mixed():
+    """Its one-hot block sums to the bias column: at l2 = 0 the logistic
+    Hessian is singular."""
+    table = mixed_imbalanced(80, 20, seed=1)
+    return encode_for_kernel(table, fit_preprocess(table)), table.y
+
+
 def per_row_proba(node, row):
     """Reference: walk one row from the root to its leaf."""
     while not node.is_leaf:
@@ -90,7 +123,7 @@ class TestLogistic:
 
         X, y = separable(40, seed=1, gap=1.5)
         l2 = 0.5
-        model = fit_logistic(X, y, l2=l2, epochs=200_000, lr=0.5)
+        model = fit_logistic(X, y, l2=l2)
 
         def obj(theta):
             return logistic_objective(theta[:-1], theta[-1], X, y, l2)
@@ -100,6 +133,24 @@ class TestLogistic:
         assert ours <= ref.fun + 1e-6
         np.testing.assert_allclose(model.params["w"], ref.x[:-1], atol=1e-3)
         np.testing.assert_allclose(model.params["b"], ref.x[-1], atol=1e-3)
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-4])
+    @pytest.mark.parametrize("fixture", [separable, encoded_mixed])
+    def test_beats_gradient_descent_and_converges(self, fixture, l2):
+        X, y = fixture()
+        model = fit_logistic(X, y, l2=l2)
+        w, b = model.params["w"], model.params["b"]
+        assert np.all(np.isfinite(w)) and np.isfinite(b)
+        ours = logistic_objective(w, b, X, y, l2)
+        assert ours <= logistic_objective(*gradient_descent_logistic(X, y, l2), X, y, l2)
+        assert np.linalg.norm(logistic_gradient(w, b, X, y, l2)) <= 1e-8
+
+    @pytest.mark.parametrize("margin", [0.0, 2.0])
+    def test_constant_margins(self, margin):
+        # a Platt link fitted on an all-equal margin column
+        y = np.repeat([0, 1], [15, 5])
+        model = fit_logistic(np.full((20, 1), margin), y)
+        np.testing.assert_allclose(model.predict_proba(np.full((1, 1), margin)), 0.25)
 
     def test_separable_accuracy(self):
         X, y = separable(80, seed=2)

@@ -126,6 +126,36 @@ def test_run_unknown_key_exit_1(dataset, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, spec", [
+    ("balancr", {"balancr": {"oversampler": "gan"}}),
+    ("lr", {"classifiers": [{"kind": "logistic", "lr": 0.5}]}),
+])
+def test_run_unknown_section_or_classifier_key_exit_1(dataset, tmp_path, capsys, key, spec):
+    csv_path, schema_path, _ = dataset
+    config = {"dataset": {"csv": csv_path, "schema": schema_path},
+              "output_dir": str(tmp_path / "out"), **spec}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{key}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sample_condition_needs_conditional_model(dataset, tmp_path, capsys):
+    csv_path, schema_path, _ = dataset
+    model_path = tmp_path / "model.json"
+    assert main(["train-gan", "--csv", csv_path, "--schema", schema_path,
+                 "--gan", "wgan", "--epochs", "1", "--batch-size", "8",
+                 "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    assert main(["sample", "--model", str(model_path), "--n", "5",
+                 "--condition", "segment=basic", "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "conditional" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_fixtures(tmp_path, capsys):
     out_dir = tmp_path / "fixtures"
     assert main(["fixtures", "--out", str(out_dir), "--json"]) == 0

@@ -108,15 +108,48 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict(d)
 
-    @pytest.mark.parametrize("section, d", [
-        ("split", {"split": {"mode": "kfold", "epoch": 3}}),
-        ("balancer", {"balancer": {"epoch": 3}}),
-        ("balancer.ocsvm", {"balancer": {"ocsvm": {"enabled": True, "epoch": 3}}}),
-    ], ids=["split", "balancer", "balancer.ocsvm"])
-    def test_unknown_key_named(self, section, d):
-        d["dataset"] = {"csv": "absent.csv", "schema": "absent.schema.json"}
-        with pytest.raises(ValueError, match=f"unknown {section} setting.*'epoch'"):
+    @pytest.mark.parametrize("classifier", [
+        {"kind": "tree", "max_features": "sqrt"},
+        {"kind": "forest", "max_features": "sqrt"},
+        {"kind": "mlp", "batch_size": 0}, {"kind": "mlp", "epochs": 0},
+    ], ids=str)
+    def test_bad_classifier_rejected_before_reading(self, tmp_path, classifier):
+        d = {"dataset": {"csv": str(tmp_path / "absent.csv"),
+                         "schema": str(tmp_path / "absent.schema.json")},
+             "classifiers": [{"kind": "logistic"}, classifier]}
+        with pytest.raises(ValueError, match="max_features|epochs and batch_size"):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("section, key, d", [
+        ("split", "epoch", {"split": {"mode": "kfold", "epoch": 3}}),
+        ("balancer", "epoch", {"balancer": {"epoch": 3}}),
+        ("balancer.ocsvm", "epoch",
+         {"balancer": {"ocsvm": {"enabled": True, "epoch": 3}}}),
+        ("top-level", "balancr", {"balancr": {"oversampler": "ctgan"}}),
+        ("dataset", "sheet", {"dataset": {"sheet": 2}}),
+        ("tree classifier", "max_dept", {"classifiers": [{"kind": "tree", "max_dept": 3}]}),
+        ("logistic classifier", "epochs",
+         {"classifiers": [{"kind": "logistic", "epochs": 2000, "lr": 0.5}]}),
+        ("logistic classifier", "lr", {"classifiers": [{"kind": "logistic", "lr": 0.5}]}),
+        ("forest classifier", "seed", {"classifiers": [{"kind": "forest", "seed": 1}]}),
+        ("mlp classifier", "l2", {"classifiers": [{"kind": "mlp", "l2": 0.1}]}),
+        ("svm classifier", "seed",
+         {"classifiers": [{"kind": "svm", "name": "s", "seed": 1}]}),
+    ], ids=["split", "balancer", "balancer.ocsvm", "top-level", "dataset", "tree",
+            "logistic-epochs", "logistic-lr", "forest", "mlp", "svm"])
+    def test_unknown_key_named(self, section, key, d):
+        d["dataset"] = {"csv": "absent.csv", "schema": "absent.schema.json",
+                        **d.get("dataset", {})}
+        with pytest.raises(ValueError, match=f"unknown {section} setting.*'{key}'"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("kind", ["logistic", "tree", "forest", "mlp", "svm"])
+    def test_every_classifier_option_accepted(self, kind):
+        spec = {"kind": kind, "name": kind, **pipeline.CLASSIFIER_OPTIONS[kind]}
+        config = ExperimentConfig.from_dict(
+            {"dataset": {"csv": "absent.csv", "schema": "absent.schema.json"},
+             "classifiers": [spec]})
+        assert config.classifiers == [spec]
 
     def test_learning_rate_reaches_the_oversampler(self, monkeypatch):
         seen = []
