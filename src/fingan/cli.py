@@ -78,7 +78,9 @@ def cmd_sample(args):
         if not isinstance(model, CtganModel):
             raise FinganError(f"--condition needs a conditional (CTGAN) model; "
                               f"{args.model} is {model.FORMAT}")
-        col, _, val = args.condition.partition("=")
+        col, sep, val = args.condition.partition("=")
+        if not sep:
+            raise FinganError(f"--condition must be column=category, got {args.condition!r}")
         table = model.sample(args.n, args.seed, condition=(col, val))
     else:
         table = model.sample(args.n, args.seed)

@@ -26,6 +26,7 @@ from .errors import (
     InvalidOneHot,
     NoDiscreteColumns,
     SchemaMismatch,
+    UnknownCondition,
 )
 from .gan import (
     WGAN,
@@ -532,13 +533,23 @@ def _decode_ctgan(model, encoded, condition=None):
 
 
 def _resolve_condition(model, condition):
-    """(column name or index, category level or index) -> (col idx, cat idx)."""
+    """(column name or index, category level or index) -> (col idx, cat idx,
+    stats idx). UnknownCondition lists the discrete columns, or the column's
+    categories, when either does not resolve."""
     col, cat = condition
+    names = model.schema.names
     if isinstance(col, str):
-        col = model.schema.names.index(col)
+        col = names.index(col) if col in names else None
+    if col not in model.stats.columns:
+        discrete = ", ".join(names[c] for c in model.stats.columns)
+        raise UnknownCondition(f"cannot condition on column {condition[0]!r}; "
+                               f"the discrete columns are {discrete}")
     spec = model.schema.columns[col]
     if isinstance(cat, str):
-        cat = spec.categories.index(cat)
+        cat = spec.categories.index(cat) if cat in spec.categories else None
+    if cat is None or not 0 <= cat < len(spec.categories):
+        raise UnknownCondition(f"column {spec.name!r} has no category {condition[1]!r}; "
+                               f"its categories are {', '.join(spec.categories)}")
     ci = model.stats.columns.index(col)
     if model.stats.frequencies[ci][cat] == 0:
         warnings.warn(

@@ -85,6 +85,10 @@ class NoDiscreteColumns(FinganError):
     pass
 
 
+class UnknownCondition(FinganError):
+    """A sampling condition names no discrete column, or no category of it."""
+
+
 class LengthMismatch(FinganError):
     pass
 
@@ -95,18 +99,6 @@ class UndefinedMetric(FinganError):
 
 class NotATree(FinganError):
     pass
-
-
-class KernelTooLarge(FinganError):
-    """The dense n x n OCSVM kernel alone exceeds the memory limit."""
-
-    def __init__(self, n, needed, available):
-        super().__init__(
-            f"OCSVM kernel for n={n} rows needs {needed} bytes (8 n^2), more "
-            f"than the {available}-byte memory limit")
-        self.n = n
-        self.needed = needed
-        self.available = available
 
 
 class AuditMismatch(FinganError):

@@ -4,19 +4,20 @@ Solves min 1/2 a'Ka subject to 0 <= a_i <= 1/(nu n), sum a_i = 1 by pairwise
 most-violating coordinate transfers. The solver never inverts K, so the
 indefinite sigmoid kernel is tolerated; a stall flag guards non-convergence.
 
-The fit holds one dense n x n float64 kernel (8 n^2 bytes) and nothing else
-of that size; a kernel that alone exceeds the memory limit (installed RAM, or
-a lower cgroup limit) raises KernelTooLarge before anything is allocated.
+Up to DENSE_KERNEL_BYTES (8 n^2 <= 64 MiB, n <= 2896) the fit holds one dense
+n x n float64 kernel and nothing else of that size. Above it the fit holds no
+n x n array: it builds the gradient from ROW_BLOCK-row blocks of the kernel's
+upper part, then evaluates only rows i and j in each sweep. There is no row
+cache: on a 6.5k-row fit the solver reads almost every row once.
 """
 
-import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data_model import concat_tables
-from .errors import KernelTooLarge, SchemaMismatch, SolverStallWarning
+from .errors import SchemaMismatch, SolverStallWarning
 from .gan import _layout_blocks, encode_categoricals
 
 SIGMOID = "sigmoid"
@@ -27,10 +28,8 @@ KERNEL_KINDS = (SIGMOID, RBF, LINEAR)
 SV_TOL = 1e-8
 GAP_TOL = 1e-6
 MAX_SWEEPS = 100_000
-ROW_BLOCK = 256  # rows per temporary in kernel_matrix
-# cgroup v2 and v1 memory limits; "max" or a missing file means no limit
-CGROUP_MEMORY_LIMITS = ("/sys/fs/cgroup/memory.max",
-                        "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+ROW_BLOCK = 256  # rows per temporary in kernel_matrix and per streamed block
+DENSE_KERNEL_BYTES = 64 * 2**20  # larger kernels are streamed, never held
 
 
 @dataclass(frozen=True)
@@ -46,12 +45,13 @@ class KernelSpec:
             raise ValueError("gamma must be positive")
 
 
-def kernel_matrix(spec, A, B=None):
+def kernel_matrix(spec, A, B=None, norms=None):
     """The len(A) x len(B) kernel, built in place in one float64 array.
 
     Beyond the result, the rbf path allocates one ROW_BLOCK x len(B)
     temporary at a time. kernel_matrix(spec, A) is exactly symmetric, so a
-    row of it can stand for the column.
+    row of it can stand for the column. norms, if given, is the pair of
+    squared row norms of A and B, which only rbf reads.
     """
     symmetric = B is None
     B = A if symmetric else B
@@ -66,8 +66,11 @@ def kernel_matrix(spec, A, B=None):
     # rounding differs from gemm's
     K = (2 * A) @ B.T
     np.negative(K, out=K)
-    aa = (A * A).sum(axis=1)
-    bb = aa if symmetric else (B * B).sum(axis=1)
+    if norms is None:
+        aa = (A * A).sum(axis=1)
+        bb = aa if symmetric else (B * B).sum(axis=1)
+    else:
+        aa, bb = norms
     n = K.shape[0]
     for start in range(0, n, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, n)
@@ -88,23 +91,6 @@ def kernel_matrix(spec, A, B=None):
             lower = np.tril_indices(stop - start, -1)
             diag[lower] = diag.T[lower]
     return K
-
-
-def memory_limit_bytes():
-    """The smaller of installed RAM (os.sysconf) and this process's cgroup
-    memory limit, or None where neither can be read."""
-    limits = []
-    try:
-        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, ValueError, OSError):
-        pass
-    for path in CGROUP_MEMORY_LIMITS:
-        try:
-            with open(path) as f:
-                limits.append(int(f.read()))
-        except (OSError, ValueError):
-            pass
-    return min(limits, default=None)
 
 
 @dataclass
@@ -130,6 +116,35 @@ class OcsvmModel:
         }
 
 
+def _gradient_and_rows(kernel, X, alpha):
+    """(g, rows): the gradient g = K alpha, and rows(i, j) -> rows i and j of K.
+
+    Up to DENSE_KERNEL_BYTES, K is built once and rows are views of it.
+    Above it, each ROW_BLOCK-row block of K's upper part, K[s:e, s:], is
+    evaluated once and feeds both g[s:e] and, transposed as K[e:, s:e],
+    g[e:]; rows(i, j) then evaluates the two rows it is asked for.
+    """
+    n = X.shape[0]
+    if 8 * n * n <= DENSE_KERNEL_BYTES:
+        K = kernel_matrix(kernel, X)
+        # K is symmetric, so rows i and j are columns i and j, read contiguously
+        return K @ alpha, lambda i, j: (K[i], K[j])
+    sq = (X * X).sum(axis=1)
+    g = np.zeros(n)
+    for s in range(0, n, ROW_BLOCK):
+        e = min(s + ROW_BLOCK, n)
+        upper = kernel_matrix(kernel, X[s:e], X[s:], norms=(sq[s:e], sq[s:]))
+        g[s:e] += upper @ alpha[s:]
+        g[e:] += alpha[s:e] @ upper[:, e - s:]
+
+    def rows(i, j):
+        pair = [i, j]
+        K_pair = kernel_matrix(kernel, X[pair], X, norms=(sq[pair], sq))
+        return K_pair[0], K_pair[1]
+
+    return g, rows
+
+
 def fit_ocsvm(X, nu, kernel):
     """Fit on encoded rows (one row per majority sample).
 
@@ -141,30 +156,26 @@ def fit_ocsvm(X, nu, kernel):
         raise ValueError("nu must lie in (0, 1]")
     if n < 2:
         raise ValueError("need at least 2 rows")
-    needed = 8 * n * n
-    available = memory_limit_bytes()
-    if available is not None and needed > available:
-        raise KernelTooLarge(n, needed, available)
 
     C = 1.0 / (nu * n)
-    K = kernel_matrix(kernel, X)
     alpha = np.full(n, 1.0 / n)  # feasible: 1/n <= C
-    g = K @ alpha  # gradient of 1/2 a'Ka
+    g, rows = _gradient_and_rows(kernel, X, alpha)  # gradient of 1/2 a'Ka
     obj = 0.5 * float(alpha @ g)
     history = [obj]
+    # added to g before the arg-min (max): 0 where alpha can rise (fall),
+    # +inf (-inf) where it sits at its bound; only alpha_i and alpha_j move
+    up = np.where(alpha < C - 1e-15, 0.0, np.inf)
+    down = np.where(alpha > 1e-15, 0.0, -np.inf)
+    masked = np.empty(n)
 
     stalled = False
     sweeps = 0
     while True:
         sweeps += 1
-        can_up = alpha < C - 1e-15
-        can_down = alpha > 1e-15
-        if not can_up.any() or not can_down.any():
+        i = int(np.argmin(np.add(g, up, out=masked)))
+        j = int(np.argmax(np.add(g, down, out=masked)))
+        if up[i] or down[j]:  # no alpha can rise, or none can fall
             break
-        gi_masked = np.where(can_up, g, np.inf)
-        gj_masked = np.where(can_down, g, -np.inf)
-        i = int(np.argmin(gi_masked))
-        j = int(np.argmax(gj_masked))
         gap = g[j] - g[i]
         if gap < GAP_TOL:
             break
@@ -176,7 +187,8 @@ def fit_ocsvm(X, nu, kernel):
             )
             break
         lam_max = min(C - alpha[i], alpha[j])
-        d = K[i, i] + K[j, j] - 2 * K[i, j]
+        K_i, K_j = rows(i, j)
+        d = K_i[i] + K_j[j] - 2 * K_i[j]
         if d > 1e-15:
             lam = min(gap / d, lam_max)
         else:
@@ -187,8 +199,10 @@ def fit_ocsvm(X, nu, kernel):
             break
         alpha[i] += lam
         alpha[j] -= lam
-        # K is symmetric, so rows i and j are columns i and j, read contiguously
-        g += lam * (K[i] - K[j])
+        for k in (i, j):
+            up[k] = 0.0 if alpha[k] < C - 1e-15 else np.inf
+            down[k] = 0.0 if alpha[k] > 1e-15 else -np.inf
+        g += lam * (K_i - K_j)
         obj += -lam * gap + 0.5 * lam * lam * d
         history.append(obj)
 

@@ -146,12 +146,15 @@ class ExperimentConfig:
         _check_keys("dataset", d["dataset"], ("csv", "schema"))
         bal = dict(d.get("balancer", {}))
         bal["ocsvm"] = _settings(OcsvmSettings, "balancer.ocsvm", bal.get("ocsvm", {}))
+        classifiers = d.get("classifiers", [{"kind": "forest"}])
+        if not isinstance(classifiers, (list, tuple)):
+            raise ValueError(f"classifiers must be a list of objects, got {classifiers!r}")
         config = cls(
             csv_path=d["dataset"]["csv"],
             schema_path=d["dataset"]["schema"],
             split=_settings(SplitSettings, "split", d.get("split", {})),
             balancer=_settings(BalancerSettings, "balancer", bal),
-            classifiers=list(d.get("classifiers", [{"kind": "forest"}])),
+            classifiers=list(classifiers),
             seed=int(d.get("seed", 0)),
             output_dir=d.get("output_dir", "fingan-out"),
         )
@@ -161,9 +164,7 @@ class ExperimentConfig:
         if not config.classifiers:
             raise ValueError("at least one classifier is required")
         for spec in config.classifiers:
-            _fit_call(spec, config.seed)  # checks the kind and the option values
-            _check_keys(f"{spec['kind']} classifier", spec,
-                        ("kind", "name", *CLASSIFIER_OPTIONS[spec["kind"]]))
+            _check_classifier(spec)
         return config
 
     @classmethod
@@ -270,6 +271,33 @@ CLASSIFIER_OPTIONS = {
 }
 
 
+# the JSON types a classifier option takes, by the type of its default
+OPTION_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+                float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _check_classifier(spec):
+    """Reject a classifier spec that is not an object of a known kind and
+    known keys, each value of its default's type and in range."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"classifier {spec!r} must be an object with a \"kind\" key")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in CLASSIFIER_OPTIONS:
+        raise ValueError(f"unknown classifier kind {kind!r}")
+    options = CLASSIFIER_OPTIONS[kind]
+    _check_keys(f"{kind} classifier", spec, ("kind", "name", *options))
+    label = _classifier_name(spec)
+    for key, default in {"name": "", **options}.items():
+        types, wanted = OPTION_TYPES[type(default)]
+        if key in spec and type(spec[key]) not in types:
+            raise ValueError(
+                f"classifier {label!r}: {key} must be {wanted}, got {spec[key]!r}")
+    try:
+        _fit_call(spec, seed=0)  # the option values' own checks
+    except ValueError as exc:
+        raise ValueError(f"classifier {label!r}: {exc}") from None
+
+
 def _fit_call(spec, seed):
     """The fit function for spec's kind and its keyword arguments, defaults
     filled in."""
@@ -278,11 +306,17 @@ def _fit_call(spec, seed):
         raise ValueError(f"unknown classifier kind {kind!r}")
     o = {**CLASSIFIER_OPTIONS[kind], **spec}
     if kind == "logistic":
+        if not o["l2"] >= 0:
+            raise ValueError(f"l2 must be >= 0, got {o['l2']!r}")
         return fit_logistic, {"l2": o["l2"]}
     if kind == "mlp":
         return fit_mlp_classifier, {"params": MlpClfParams(
             epochs=o["epochs"], batch_size=o["batch_size"], seed=seed)}
     if kind == "svm":
+        if not o["C"] > 0:
+            raise ValueError(f"C must be positive, got {o['C']!r}")
+        if o["epochs"] < 1:
+            raise ValueError(f"epochs must be at least 1, got {o['epochs']!r}")
         return fit_svm_linear, {"C": o["C"], "epochs": o["epochs"]}
     tree = TreeParams(**{k: o[k] for k in TREE_OPTIONS})
     if kind == "tree":

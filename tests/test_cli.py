@@ -142,6 +142,24 @@ def test_run_unknown_section_or_classifier_key_exit_1(dataset, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("spec, named", [
+    ("tree", "classifier 'tree' must be an object"),
+    ({"kind": "tree", "max_depth": "3"}, "classifier 'tree': max_depth must be an integer"),
+    ({"kind": "logistic", "name": "lr", "l2": -1.0}, "classifier 'lr': l2 must be >= 0"),
+    ({"kind": "svm", "C": 0}, "classifier 'svm': C must be positive"),
+], ids=["string", "max_depth", "l2", "C"])
+def test_run_bad_classifier_value_exit_1(dataset, tmp_path, capsys, spec, named):
+    csv_path, schema_path, _ = dataset
+    config = {"dataset": {"csv": csv_path, "schema": schema_path},
+              "classifiers": [spec], "output_dir": str(tmp_path / "out")}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sample_condition_needs_conditional_model(dataset, tmp_path, capsys):
     csv_path, schema_path, _ = dataset
     model_path = tmp_path / "model.json"
@@ -153,6 +171,26 @@ def test_sample_condition_needs_conditional_model(dataset, tmp_path, capsys):
                  "--condition", "segment=basic", "--out", str(tmp_path / "s.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "conditional" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("condition, named", [
+    ("segment", "--condition must be column=category, got 'segment'"),
+    ("nope=basic", "column 'nope'; the discrete columns are segment"),
+    ("amount=1", "column 'amount'; the discrete columns are segment"),
+    ("segment=gold", "'segment' has no category 'gold'; its categories are basic, premium"),
+], ids=["no-equals", "unknown-column", "numeric-column", "unknown-category"])
+def test_sample_bad_condition_names_choices(dataset, tmp_path, capsys, condition, named):
+    csv_path, schema_path, _ = dataset
+    model_path = tmp_path / "model.json"
+    assert main(["train-gan", "--csv", csv_path, "--schema", schema_path,
+                 "--gan", "ctgan", "--epochs", "1", "--batch-size", "8",
+                 "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    assert main(["sample", "--model", str(model_path), "--n", "5",
+                 "--condition", condition, "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
     assert not (tmp_path / "s.csv").exists()
 
 

@@ -1,4 +1,3 @@
-import os
 import tracemalloc
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 import fingan.ocsvm as ocsvm
 from fingan.data_model import fit_preprocess
-from fingan.errors import KernelTooLarge, SchemaMismatch
+from fingan.errors import SchemaMismatch
 from fingan.fixtures import mixed_imbalanced
 from fingan.ocsvm import (
     GAP_TOL,
@@ -17,7 +16,6 @@ from fingan.ocsvm import (
     encode_for_kernel,
     fit_ocsvm,
     kernel_matrix,
-    memory_limit_bytes,
     undersample_majority,
 )
 
@@ -204,39 +202,6 @@ class TestFit:
         X = np.random.default_rng(10).normal(size=(20, 2))
         assert fit_ocsvm(X, 0.5, KernelSpec("rbf", 0.5)).X is X
 
-    def test_kernel_too_large_raises_before_allocating(self, monkeypatch):
-        X = np.random.default_rng(12).normal(size=(50, 2))
-        needed = 8 * 50 * 50
-
-        def no_kernel(*args):
-            raise AssertionError("kernel built")
-
-        monkeypatch.setattr(ocsvm, "kernel_matrix", no_kernel)
-        monkeypatch.setattr(ocsvm, "memory_limit_bytes", lambda: needed - 1)
-        with pytest.raises(KernelTooLarge, match=f"n=50 .*{needed} bytes") as info:
-            fit_ocsvm(X, 0.5, KernelSpec("rbf", 0.5))
-        assert (info.value.n, info.value.needed) == (50, needed)
-        monkeypatch.undo()
-        monkeypatch.setattr(ocsvm, "memory_limit_bytes", lambda: needed)
-        assert fit_ocsvm(X, 0.5, KernelSpec("rbf", 0.5)).alpha.shape == (50,)
-
-    def test_memory_probe(self):
-        assert memory_limit_bytes() > 0
-
-    def test_memory_probe_takes_lower_cgroup_limit(self, tmp_path, monkeypatch):
-        installed = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        v2, v1 = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
-        v2.write_text("max\n")
-        v1.write_text(f"{2 * installed}\n")
-        monkeypatch.setattr(ocsvm, "CGROUP_MEMORY_LIMITS",
-                            (str(v2), str(v1), str(tmp_path / "absent")))
-        assert memory_limit_bytes() == installed
-        v2.write_text("1000\n")
-        assert memory_limit_bytes() == 1000
-        X = np.random.default_rng(12).normal(size=(50, 2))
-        with pytest.raises(KernelTooLarge, match="1000-byte memory limit"):
-            fit_ocsvm(X, 0.5, KernelSpec("rbf", 0.5))
-
     def test_kkt_conditions(self):
         X = np.random.default_rng(5).normal(size=(80, 3))
         nu = 0.5
@@ -249,6 +214,49 @@ class TestFit:
         assert np.all(scores[interior] >= -1e-3)
         boxed = model.alpha >= C - 1e-8
         assert np.all(scores[boxed] <= 1e-3)
+
+
+@pytest.fixture
+def streamed(monkeypatch):
+    """Every fit streams its kernel rows, whatever its size."""
+    monkeypatch.setattr(ocsvm, "DENSE_KERNEL_BYTES", 0)
+
+
+@pytest.mark.usefixtures("streamed")
+class TestFitStreamed(TestFit):
+    """TestFit's behavioural tests on the streamed path."""
+
+    # the column-update oracle replays the dense path bit for bit
+    test_row_updates_equal_column_updates = None
+
+
+class TestStreamedPath:
+    @pytest.mark.parametrize("nu", [0.2, 0.5])
+    @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
+    @pytest.mark.parametrize("n_neg", [60, 300])
+    def test_same_support_as_dense(self, monkeypatch, kernel, n_neg, nu):
+        majority = mixed_imbalanced(n_neg, 10, seed=n_neg).negatives()
+        X = encode_for_kernel(majority, fit_preprocess(majority))
+        dense = fit_ocsvm(X, nu, kernel)
+        monkeypatch.setattr(ocsvm, "DENSE_KERNEL_BYTES", 0)
+        streamed = fit_ocsvm(X, nu, kernel)
+        np.testing.assert_array_equal(streamed.support_indices, dense.support_indices)
+        assert abs(streamed.rho - dense.rho) <= GAP_TOL
+
+    @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
+    def test_traced_peak_far_below_dense_kernel(self, kernel):
+        n = 3000
+        assert 8 * n * n > ocsvm.DENSE_KERNEL_BYTES  # streamed without a patch
+        X = np.random.default_rng(13).normal(size=(n, 6))
+        tracemalloc.start()
+        try:
+            model = fit_ocsvm(X, 0.5, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not model.stalled
+        # one upper block and its rbf temporary, not the 72 MB kernel
+        assert peak < 3 * 8 * ROW_BLOCK * n
 
 
 class TestDecision:
@@ -270,6 +278,11 @@ class TestDecision:
         model = fit_ocsvm(X, 0.5, KernelSpec("linear", 1.0))
         with pytest.raises(SchemaMismatch):
             decision_function(model, np.ones((2, 4)))
+
+
+@pytest.mark.usefixtures("streamed")
+class TestDecisionStreamed(TestDecision):
+    """TestDecision on the streamed path."""
 
 
 class TestUndersample:

@@ -112,12 +112,19 @@ class TestConfig:
         {"kind": "tree", "max_features": "sqrt"},
         {"kind": "forest", "max_features": "sqrt"},
         {"kind": "mlp", "batch_size": 0}, {"kind": "mlp", "epochs": 0},
+        "tree", {"kind": "tree", "max_depth": "3"}, {"kind": "mlp", "epochs": 2.0},
+        {"kind": "forest", "bootstrap": 1}, {"kind": ["tree"]},
+        {"kind": "logistic", "l2": -1.0}, {"kind": "logistic", "l2": float("nan")},
+        {"kind": "svm", "C": 0.0}, {"kind": "svm", "epochs": 0},
     ], ids=str)
     def test_bad_classifier_rejected_before_reading(self, tmp_path, classifier):
         d = {"dataset": {"csv": str(tmp_path / "absent.csv"),
                          "schema": str(tmp_path / "absent.schema.json")},
              "classifiers": [{"kind": "logistic"}, classifier]}
-        with pytest.raises(ValueError, match="max_features|epochs and batch_size"):
+        with pytest.raises(ValueError, match="max_features|epochs and batch_size|"
+                           "classifier 'tree' must be an object|unknown classifier kind|"
+                           "classifier '(tree|mlp|forest|logistic|svm)': "
+                           "(max_depth|epochs|bootstrap|l2|C) must be"):
             ExperimentConfig.from_dict(d)
 
     @pytest.mark.parametrize("section, key, d", [
