@@ -6,7 +6,7 @@ and training-by-sampling, so the rare category stays represented — and can
 even be requested explicitly at sampling time.
 """
 
-from fingan import CtganConfig, sample_ctgan, train_ctgan
+from fingan import GanConfig, sample_ctgan, train_ctgan
 from fingan.fixtures import rare_category_minority
 
 
@@ -16,7 +16,7 @@ def main():
     print(f"minority fixture: {table.n_rows} rows, "
           f"'rare' group at {rare_real:.1%}\n")
 
-    model = train_ctgan(table, CtganConfig(epochs=600, seed=0))
+    model = train_ctgan(table, GanConfig(mode="ctgan", epochs=600, seed=0))
 
     # unconditional sampling: the rare group must not vanish
     synth = sample_ctgan(model, 5000, seed=1)

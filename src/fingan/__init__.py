@@ -36,7 +36,6 @@ from .gan import (  # noqa: F401
     train_gan,
 )
 from .ctgan import (  # noqa: F401
-    CtganConfig,
     CtganModel,
     ModeNormalizer,
     fit_mode_normalizer,

@@ -7,11 +7,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ctgan import CtganConfig, CtganModel, train_ctgan
+from .ctgan import CtganModel, train_ctgan
 from .data_model import Schema, fit_preprocess, load_csv
 from .errors import FinganError
 from .fixtures import table_to_csv, write_fixture_files
-from .gan import GanConfig, GeneratorModel, train_gan
+from .gan import CTGAN, VANILLA, GanConfig, GeneratorModel, train_gan
 from .ocsvm import KERNEL_KINDS, undersample_majority
 from .pipeline import ExperimentConfig, render_report_text, run_experiment
 
@@ -51,20 +51,12 @@ def cmd_preprocess(args):
 
 
 def cmd_train_gan(args):
-    schema = Schema.from_json(args.schema)
-    table = load_csv(args.csv, schema)
-    minority = table.positives()
-    # without --epochs each config keeps its own default
-    epochs = {} if args.epochs is None else {"epochs": args.epochs}
-    if args.gan == "ctgan":
-        config = CtganConfig(batch_size=args.batch_size,
-                             latent_dim=args.latent_dim, seed=args.seed, **epochs)
-        model = train_ctgan(minority, config)
-    else:
-        mode = "vanilla" if args.gan == "gan" else "wgan"
-        config = GanConfig(mode=mode, batch_size=args.batch_size,
-                           latent_dim=args.latent_dim, seed=args.seed, **epochs)
-        model = train_gan(minority, config)
+    mode = VANILLA if args.gan == "gan" else args.gan
+    default_epochs = 300 if mode == CTGAN else 3000
+    config = GanConfig(mode=mode, epochs=default_epochs if args.epochs is None else args.epochs,
+                       batch_size=args.batch_size, latent_dim=args.latent_dim, seed=args.seed)
+    minority = load_csv(args.csv, Schema.from_json(args.schema)).positives()
+    model = (train_ctgan if mode == CTGAN else train_gan)(minority, config)
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(model.to_dict(), f)
     _emit(args, {"model": args.out, "minority_rows": minority.n_rows},
@@ -201,10 +193,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FinganError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (FinganError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,6 +29,8 @@ from .errors import (
     UnknownCondition,
 )
 from .gan import (
+    CTGAN,
+    MAX_MODES,
     WGAN,
     Block,
     build_discriminator,
@@ -37,13 +39,11 @@ from .gan import (
     encode_categoricals,
     train_adversarial,
 )
-from .nn_core import AdamConfig
 
 # perfbench/tracer.py rebinds these names here to label calls made from this module
 from .gan import generator_backward_step  # noqa: F401
 from .nn_core import adam_step, backward, forward  # noqa: F401
 
-MAX_MODES = 10
 WEIGHT_PRUNE = 0.005
 ALPHA_SCALE = 4.0
 EM_MAX_ITERS = 200
@@ -300,30 +300,6 @@ def _sample_cond_batch(stats, b, rng):
     return cols, cats, onehot
 
 
-@dataclass
-class CtganConfig:
-    epochs: int = 300
-    batch_size: int = 64
-    latent_dim: int = 64
-    max_modes: int = MAX_MODES
-    adam: AdamConfig = field(default_factory=lambda: AdamConfig(learning_rate=2e-4))
-    wgan_clip: float = 0.01
-    critic_steps: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.max_modes < 1:
-            raise ValueError("max_modes must be >= 1")
-        if self.critic_steps < 1:
-            raise ValueError("critic_steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
-
-
 def _build_ctgan_layout(schema, normalizers):
     blocks = []
     offset = 0
@@ -458,11 +434,14 @@ def _condition_loss(fake, hot, grad_fake):
 
 
 def train_ctgan(minority, config):
-    """Conditional WGAN training on minority rows; returns a sampler model."""
+    """Conditional WGAN training on minority rows with a GanConfig of mode
+    CTGAN; returns a sampler model."""
     if minority.n_rows == 0:
         raise EmptyMinority("no minority rows to train on")
     if not np.all(minority.y == 1):
         raise ValueError("train_ctgan expects minority (positive) rows only")
+    if config.mode != CTGAN:
+        raise ValueError(f"train_ctgan needs mode {CTGAN!r}, got {config.mode!r}")
 
     rng = np.random.default_rng(config.seed)
     schema = minority.schema

@@ -31,6 +31,8 @@ from .nn_core import (
 
 VANILLA = "vanilla"
 WGAN = "wgan"
+CTGAN = "ctgan"
+MAX_MODES = 10
 
 DISCRIMINATOR_WIDTHS = (128, 64, 32, 16, 8)
 GENERATOR_HIDDEN_WIDTHS = (64, 128)
@@ -80,28 +82,27 @@ class GanLayout:
 
 @dataclass
 class GanConfig:
-    mode: str = VANILLA
+    """Training settings for all three oversamplers; max_modes is read by
+    CTGAN only."""
+
+    mode: str = VANILLA  # VANILLA, WGAN or CTGAN
     epochs: int = 3000
     batch_size: int = 64
     latent_dim: int = 64
+    max_modes: int = MAX_MODES  # Gaussian-mixture modes per CTGAN numeric column
     adam: AdamConfig = field(default_factory=lambda: AdamConfig(learning_rate=2e-4))
     wgan_clip: float = 0.01
     critic_steps: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.mode not in (VANILLA, WGAN):
+        if self.mode not in (VANILLA, WGAN, CTGAN):
             raise ValueError(f"unknown GAN mode {self.mode!r}")
-        if self.wgan_clip <= 0:
-            raise ValueError("wgan_clip must be positive")
-        if self.critic_steps < 1:
-            raise ValueError("critic_steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+        for name in ("epochs", "batch_size", "latent_dim", "max_modes", "critic_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not self.wgan_clip > 0:
+            raise ValueError(f"wgan_clip must be positive, got {self.wgan_clip!r}")
 
 
 def _layout_blocks(schema):
@@ -264,6 +265,8 @@ def train_gan(minority, config):
         raise EmptyMinority("no minority rows to train on")
     if not np.all(minority.y == 1):
         raise ValueError("train_gan expects minority (positive) rows only")
+    if config.mode == CTGAN:
+        raise ValueError("train_gan trains vanilla and wgan; ctgan needs train_ctgan")
 
     real, layout = encode_for_gan(minority)
     rng = np.random.default_rng(config.seed)

@@ -41,8 +41,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel {self.kind!r}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
 
 
 def kernel_matrix(spec, A, B=None, norms=None):

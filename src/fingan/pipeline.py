@@ -9,7 +9,8 @@ balancing are always fit on the training side of a split only.
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import get_args
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .classifiers import (
     fit_svm_linear,
     fit_tree,
 )
-from .ctgan import CtganConfig, train_ctgan
+from .ctgan import train_ctgan
 from .data_model import (
     Schema,
     Table,
@@ -37,6 +38,7 @@ from .data_model import (
 from .errors import AuditMismatch
 from .evaluation import T_CRITICAL, confusion, extract_rules, metrics, t_test_auc
 from .gan import (
+    CTGAN,
     VANILLA,
     WGAN,
     GanConfig,
@@ -45,11 +47,34 @@ from .gan import (
     train_gan,
 )
 from .nn_core import AdamConfig
-from .ocsvm import KERNEL_KINDS, encode_for_kernel, undersample_majority
+from .ocsvm import KernelSpec, encode_for_kernel, undersample_majority
 
 OVERSAMPLERS = ("none", "gan", "wgan", "ctgan")
 SPLIT_MODES = ("holdout", "kfold")
 ENCODED_KINDS = ("logistic", "mlp", "svm")  # need standardized one-hot inputs
+
+
+# the JSON types a setting takes, by its declared type
+JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+              float: ((int, float), "a number"), str: ((str,), "a string"),
+              dict: ((dict,), "an object"), list: ((list,), "a list")}
+
+
+def _check_type(where, key, value, declared):
+    """Reject value unless it has a JSON type of declared, a type or a union
+    of types such as float | str."""
+    wanted = [JSON_TYPES[t] for t in get_args(declared) or (declared,)]
+    if not any(type(value) in types for types, _ in wanted):
+        raise ValueError(f"{where}: {key} must be "
+                         f"{' or '.join(name for _, name in wanted)}, got {value!r}")
+
+
+def _check_fields(settings, section):
+    """Type-check each field of a settings dataclass by its annotation; a
+    nested settings field checks its own."""
+    for f in fields(settings):
+        if not is_dataclass(f.type):
+            _check_type(section, f.name, getattr(settings, f.name), f.type)
 
 
 @dataclass
@@ -57,28 +82,24 @@ class OcsvmSettings:
     enabled: bool = False
     nu: float = 0.5
     kernel: str = "sigmoid"
-    gamma: object = "auto"  # "auto" -> 1/d
+    gamma: float | str = "auto"  # "auto" -> 1/d, else positive, also as a numeric string
     coef0: float = 0.0
 
     def __post_init__(self):
+        _check_fields(self, "balancer.ocsvm")
         if not 0 < self.nu <= 1:
-            raise ValueError(f"ocsvm nu must lie in (0, 1], got {self.nu!r}")
-        if self.kernel not in KERNEL_KINDS:
-            raise ValueError(f"unknown ocsvm kernel {self.kernel!r}")
-        if self.gamma != "auto":
-            try:
-                positive = float(self.gamma) > 0
-            except (TypeError, ValueError):
-                positive = False
-            if not positive:
-                raise ValueError(
-                    f"ocsvm gamma must be \"auto\" or positive, got {self.gamma!r}")
+            raise ValueError(f"balancer.ocsvm: nu must lie in (0, 1], got {self.nu!r}")
+        try:  # KernelSpec checks the kernel kind and gamma ("auto" is 1/d, positive)
+            KernelSpec(self.kernel, 1.0 if self.gamma == "auto" else float(self.gamma))
+        except ValueError as exc:
+            raise ValueError(f"balancer.ocsvm: kernel {self.kernel!r}, gamma "
+                             f"{self.gamma!r}: {exc}") from None
 
 
 @dataclass
 class BalancerSettings:
     oversampler: str = "none"
-    target: object = "parity"  # "parity" or an integer count
+    target: int | str = "parity"  # "parity" or a count
     epochs: int = 300
     batch_size: int = 64
     latent_dim: int = 64
@@ -87,18 +108,26 @@ class BalancerSettings:
     ocsvm: OcsvmSettings = field(default_factory=OcsvmSettings)
 
     def __post_init__(self):
+        _check_fields(self, "balancer")
         if self.oversampler not in OVERSAMPLERS:
             raise ValueError(f"unknown oversampler {self.oversampler!r}")
-        for name in ("epochs", "batch_size", "latent_dim", "max_modes"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be at least 1, got {getattr(self, name)!r}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if self.target != "parity" and not (
-                type(self.target) is int and self.target >= 0):
+                isinstance(self.target, int) and self.target >= 0):
             raise ValueError(
-                f"target must be \"parity\" or an integer >= 0, got {self.target!r}")
+                f"balancer: target must be \"parity\" or an integer >= 0, got {self.target!r}")
+        try:
+            self.gan_config(seed=0)  # GanConfig and AdamConfig range-check the rest
+        except ValueError as exc:
+            raise ValueError(f"balancer: {exc}") from None
+
+    def gan_config(self, seed):
+        """The GanConfig that trains this balancer's oversampler ("gan", and
+        "none" when checked, as vanilla)."""
+        return GanConfig(
+            mode=self.oversampler if self.oversampler in (WGAN, CTGAN) else VANILLA,
+            epochs=self.epochs, batch_size=self.batch_size, latent_dim=self.latent_dim,
+            max_modes=self.max_modes, adam=AdamConfig(learning_rate=self.learning_rate),
+            seed=seed)
 
 
 @dataclass
@@ -108,6 +137,7 @@ class SplitSettings:
     k: int = 10
 
     def __post_init__(self):
+        _check_fields(self, "split")
         if self.mode not in SPLIT_MODES:
             raise ValueError(f"unknown split mode {self.mode!r}")
         if self.mode == "holdout" and not 0 < self.train_fraction < 1:
@@ -118,15 +148,29 @@ class SplitSettings:
 
 
 def _check_keys(section, d, allowed):
+    """Reject a section that is not an object or has a key outside allowed."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{section} must be an object, got {d!r}")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {section} setting(s): {', '.join(map(repr, unknown))}")
 
 
+def _check_section(section, d, declared):
+    """Reject a section unless it is an object whose keys are declared's and
+    whose values have their declared types."""
+    _check_keys(section, d, declared)
+    for key, value in d.items():
+        _check_type(section, key, value, declared[key])
+
+
 def _settings(cls, section, d):
-    """cls(**d), rejecting keys that are not fields of cls by name."""
+    """cls(**d), rejecting keys that are not fields of cls by name; a field
+    typed by a settings class is built the same way from its own object."""
     _check_keys(section, d, {f.name for f in fields(cls)})
-    return cls(**d)
+    nested = {f.name: _settings(f.type, f"{section}.{f.name}", d[f.name])
+              for f in fields(cls) if is_dataclass(f.type) and f.name in d}
+    return cls(**{**d, **nested})
 
 
 @dataclass
@@ -141,31 +185,33 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        _check_keys("top-level", d, ("dataset", "split", "balancer", "classifiers",
-                                     "seed", "output_dir"))
-        _check_keys("dataset", d["dataset"], ("csv", "schema"))
-        bal = dict(d.get("balancer", {}))
-        bal["ocsvm"] = _settings(OcsvmSettings, "balancer.ocsvm", bal.get("ocsvm", {}))
+        _check_section("top-level", d, {"dataset": dict, "split": dict, "balancer": dict,
+                                        "classifiers": list, "seed": int, "output_dir": str})
+        dataset = {"csv": None, "schema": None, **d.get("dataset", {})}  # both required
+        _check_section("dataset", dataset, {"csv": str, "schema": str})
+        if d.get("seed", 0) < 0:
+            raise ValueError(f"top-level: seed must be >= 0, got {d['seed']!r}")
+        env_seed = os.environ.get("FINGAN_SEED")  # overrides the config's seed
+        if env_seed is not None and not env_seed.strip().isdecimal():
+            raise ValueError(f"FINGAN_SEED must be an integer >= 0, got {env_seed!r}")
         classifiers = d.get("classifiers", [{"kind": "forest"}])
-        if not isinstance(classifiers, (list, tuple)):
-            raise ValueError(f"classifiers must be a list of objects, got {classifiers!r}")
-        config = cls(
-            csv_path=d["dataset"]["csv"],
-            schema_path=d["dataset"]["schema"],
+        if not classifiers:
+            raise ValueError("at least one classifier is required")
+        for spec in classifiers:
+            _check_classifier(spec)
+        names = [_classifier_name(spec) for spec in classifiers]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"two classifiers are named {name!r}; give each its own \"name\"")
+        return cls(
+            csv_path=dataset["csv"],
+            schema_path=dataset["schema"],
             split=_settings(SplitSettings, "split", d.get("split", {})),
-            balancer=_settings(BalancerSettings, "balancer", bal),
+            balancer=_settings(BalancerSettings, "balancer", d.get("balancer", {})),
             classifiers=list(classifiers),
-            seed=int(d.get("seed", 0)),
+            seed=d.get("seed", 0) if env_seed is None else int(env_seed),
             output_dir=d.get("output_dir", "fingan-out"),
         )
-        env_seed = os.environ.get("FINGAN_SEED")
-        if env_seed is not None:
-            config.seed = int(env_seed)
-        if not config.classifiers:
-            raise ValueError("at least one classifier is required")
-        for spec in config.classifiers:
-            _check_classifier(spec)
-        return config
 
     @classmethod
     def from_json(cls, path):
@@ -185,20 +231,9 @@ class ExperimentConfig:
 
 
 def train_oversampler(minority, balancer, seed):
-    adam = AdamConfig(learning_rate=balancer.learning_rate)
-    if balancer.oversampler in ("gan", WGAN):
-        mode = VANILLA if balancer.oversampler == "gan" else WGAN
-        config = GanConfig(mode=mode, epochs=balancer.epochs,
-                           batch_size=balancer.batch_size,
-                           latent_dim=balancer.latent_dim, adam=adam, seed=seed)
-        return train_gan(minority, config)
-    if balancer.oversampler == "ctgan":
-        config = CtganConfig(epochs=balancer.epochs,
-                             batch_size=balancer.batch_size,
-                             latent_dim=balancer.latent_dim,
-                             max_modes=balancer.max_modes, adam=adam, seed=seed)
-        return train_ctgan(minority, config)
-    raise ValueError(f"no oversampler for {balancer.oversampler!r}")
+    config = balancer.gan_config(seed)
+    train = train_ctgan if config.mode == CTGAN else train_gan
+    return train(minority, config)
 
 
 def balance(train, balancer, seed, preprocess_params=None):
@@ -271,11 +306,6 @@ CLASSIFIER_OPTIONS = {
 }
 
 
-# the JSON types a classifier option takes, by the type of its default
-OPTION_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-                float: ((int, float), "a number"), str: ((str,), "a string")}
-
-
 def _check_classifier(spec):
     """Reject a classifier spec that is not an object of a known kind and
     known keys, each value of its default's type and in range."""
@@ -288,10 +318,8 @@ def _check_classifier(spec):
     _check_keys(f"{kind} classifier", spec, ("kind", "name", *options))
     label = _classifier_name(spec)
     for key, default in {"name": "", **options}.items():
-        types, wanted = OPTION_TYPES[type(default)]
-        if key in spec and type(spec[key]) not in types:
-            raise ValueError(
-                f"classifier {label!r}: {key} must be {wanted}, got {spec[key]!r}")
+        if key in spec:
+            _check_type(f"classifier {label!r}", key, spec[key], type(default))
     try:
         _fit_call(spec, seed=0)  # the option values' own checks
     except ValueError as exc:
@@ -301,9 +329,7 @@ def _check_classifier(spec):
 def _fit_call(spec, seed):
     """The fit function for spec's kind and its keyword arguments, defaults
     filled in."""
-    kind = spec.get("kind")
-    if kind not in CLASSIFIER_OPTIONS:
-        raise ValueError(f"unknown classifier kind {kind!r}")
+    kind = spec["kind"]
     o = {**CLASSIFIER_OPTIONS[kind], **spec}
     if kind == "logistic":
         if not o["l2"] >= 0:

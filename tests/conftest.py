@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fingan.ctgan import CtganConfig, train_ctgan
+from fingan.ctgan import train_ctgan
 from fingan.fixtures import bimodal_minority, rare_category_minority
 from fingan.gan import GanConfig, train_gan
 
@@ -33,7 +33,7 @@ def wgan_models(bimodal_table):
 @pytest.fixture(scope="session")
 def ctgan_models(bimodal_table):
     return {
-        seed: train_ctgan(bimodal_table, CtganConfig(epochs=1200, seed=seed))
+        seed: train_ctgan(bimodal_table, GanConfig(mode="ctgan", epochs=1200, seed=seed))
         for seed in GAN_SEEDS
     }
 
@@ -45,7 +45,7 @@ def rare_category_table():
 
 @pytest.fixture(scope="session")
 def conditioned_ctgan(rare_category_table):
-    return train_ctgan(rare_category_table, CtganConfig(epochs=300, seed=0))
+    return train_ctgan(rare_category_table, GanConfig(mode="ctgan", epochs=300, seed=0))
 
 
 def encoded_moments(table, encoded_samples):

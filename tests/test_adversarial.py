@@ -15,7 +15,6 @@ import pytest
 
 from fingan import nn_core
 from fingan.ctgan import (
-    CtganConfig,
     CtganModel,
     _build_ctgan_layout,
     _condition_buckets,
@@ -327,7 +326,7 @@ def test_ctgan_matches_inline_loop(table, monkeypatch):
         return critics[-1]
 
     monkeypatch.setattr("fingan.ctgan.build_discriminator", build_and_keep)
-    config = CtganConfig(epochs=2, batch_size=16, max_modes=3, seed=5)
+    config = GanConfig(mode="ctgan", epochs=2, batch_size=16, max_modes=3, seed=5)
     model = train_ctgan(table, config)
     oracle, oracle_critic = oracle_train_ctgan(table, config)
     assert_same_generator(model, oracle)

@@ -160,6 +160,26 @@ def test_run_bad_classifier_value_exit_1(dataset, tmp_path, capsys, spec, named)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("spec, named", [
+    ({"dataset": {"csv": 5, "schema": "absent.schema.json"}}, "dataset: csv must be a string"),
+    ({"seed": -1}, "top-level: seed must be >= 0"),
+    ({"balancer": None}, "top-level: balancer must be an object"),
+    ({"balancer": {"ocsvm": {"enabled": "no"}}}, "balancer.ocsvm: enabled must be true or false"),
+    ({"classifiers": [{"kind": "tree"}, {"kind": "logistic", "name": "tree"}]},
+     "two classifiers are named 'tree'"),
+], ids=["csv", "seed", "balancer", "enabled", "names"])
+def test_run_bad_config_exit_1(dataset, tmp_path, capsys, spec, named):
+    csv_path, schema_path, _ = dataset
+    config = {"dataset": {"csv": csv_path, "schema": schema_path},
+              "output_dir": str(tmp_path / "out"), **spec}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sample_condition_needs_conditional_model(dataset, tmp_path, capsys):
     csv_path, schema_path, _ = dataset
     model_path = tmp_path / "model.json"
@@ -230,3 +250,12 @@ def test_train_gan_epoch_defaults(dataset, tmp_path, monkeypatch, gan, argv, epo
     assert main(["train-gan", "--csv", csv_path, "--schema", schema_path,
                  "--gan", gan, "--out", str(tmp_path / "m.json"), *argv]) == 0
     assert [c.epochs for c in seen] == [epochs]
+
+
+@pytest.mark.parametrize("gan", ["gan", "ctgan"])
+def test_train_gan_zero_epochs_exit_1(dataset, tmp_path, capsys, gan):
+    csv_path, schema_path, _ = dataset
+    assert main(["train-gan", "--csv", csv_path, "--schema", schema_path, "--gan", gan,
+                 "--epochs", "0", "--out", str(tmp_path / "m.json")]) == 1
+    assert "epochs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()

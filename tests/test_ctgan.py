@@ -7,7 +7,6 @@ from fingan.ctgan import (
     EM_MAX_ITERS,
     EM_TOL,
     WEIGHT_PRUNE,
-    CtganConfig,
     CtganModel,
     DiscreteStats,
     ModeNormalizer,
@@ -25,6 +24,7 @@ from fingan.ctgan import (
     train_ctgan,
 )
 from fingan.errors import InvalidOneHot, NoDiscreteColumns, SchemaMismatch
+from fingan.gan import GanConfig
 from fingan.nn_core import PROB_EPS
 from fingan.fixtures import rare_category_minority
 
@@ -163,14 +163,14 @@ class TestTrainCtgan:
     def test_size_below_one_rejected(self, name):
         for value in (0, -1):
             with pytest.raises(ValueError, match=name):
-                CtganConfig(**{name: value})
+                GanConfig(mode="ctgan", **{name: value})
 
     def test_mixed_label_rejected(self, rare_category_table):
         bad = rare_category_table
         bad = bad.subset(np.arange(bad.n_rows))
         bad.y[0] = 0
         with pytest.raises(ValueError):
-            train_ctgan(bad, CtganConfig(epochs=1))
+            train_ctgan(bad, GanConfig(mode="ctgan", epochs=1))
 
     def test_serialization_round_trip(self, conditioned_ctgan):
         restored = CtganModel.from_dict(conditioned_ctgan.to_dict())
@@ -180,7 +180,7 @@ class TestTrainCtgan:
 
     def test_continuous_only_trains_unconditioned(self, bimodal_table):
         model = train_ctgan(bimodal_table.subset(np.arange(64)),
-                            CtganConfig(epochs=2, batch_size=32, seed=0))
+                            GanConfig(mode="ctgan", epochs=2, batch_size=32, seed=0))
         out = sample_ctgan(model, 20, seed=1)
         assert out.n_rows == 20
 

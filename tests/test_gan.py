@@ -51,11 +51,15 @@ class TestTrainGan:
             GanConfig(epochs=0)
 
     def test_critic_steps_zero_rejected(self):
-        from fingan.ctgan import CtganConfig
+        for mode in ("vanilla", "wgan", "ctgan"):
+            with pytest.raises(ValueError, match="critic_steps"):
+                GanConfig(mode=mode, critic_steps=0)
 
-        for config in (GanConfig, CtganConfig):
-            with pytest.raises(ValueError):
-                config(critic_steps=0)
+    @pytest.mark.parametrize("mode", ["vanilla", "wgan", "ctgan"])
+    def test_clip_not_positive_rejected(self, mode):
+        for clip in (0, -0.01, float("nan")):
+            with pytest.raises(ValueError, match="wgan_clip"):
+                GanConfig(mode=mode, wgan_clip=clip)
 
     @pytest.mark.parametrize("name", ["batch_size", "latent_dim"])
     def test_size_below_one_rejected(self, name):

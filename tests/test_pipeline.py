@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,66 @@ class TestConfig:
         monkeypatch.setenv("FINGAN_SEED", "99")
         config = make_config(tmp_path, mixed_imbalanced(40, 10), seed=3)
         assert config.seed == 99
+
+    @pytest.mark.parametrize("named, d", [
+        ("split: k must be", {"split": {"mode": "kfold", "k": 3.0}}),
+        ("split: train_fraction must be", {"split": {"train_fraction": "0.8"}}),
+        ("split: mode must be", {"split": {"mode": 3}}),
+        ("balancer: epochs must be", {"balancer": {"epochs": 1.5}}),
+        ("balancer: max_modes must be", {"balancer": {"max_modes": 2.0}}),
+        ("balancer: learning_rate must be", {"balancer": {"learning_rate": "0.1"}}),
+        ("balancer: batch_size must be", {"balancer": {"batch_size": True}}),
+        ("balancer: target must be", {"balancer": {"target": True}}),
+        ("balancer.ocsvm: nu must be", {"balancer": {"ocsvm": {"nu": "0.5"}}}),
+        ("balancer.ocsvm: coef0 must be", {"balancer": {"ocsvm": {"coef0": "x"}}}),
+        ("balancer.ocsvm: enabled must be", {"balancer": {"ocsvm": {"enabled": "no"}}}),
+        ("balancer.ocsvm: gamma must be", {"balancer": {"ocsvm": {"gamma": True}}}),
+        ("balancer.ocsvm must be an object", {"balancer": {"ocsvm": [True]}}),
+        ("top-level: seed must be", {"seed": 1.7}),
+        ("top-level: seed must be", {"seed": True}),
+        ("top-level: seed must be", {"seed": -1}),
+        ("top-level: output_dir must be", {"output_dir": 5}),
+        ("top-level: split must be", {"split": [1]}),
+        ("top-level: balancer must be", {"balancer": None}),
+        ("top-level: classifiers must be", {"classifiers": {"kind": "tree"}}),
+        ("dataset: csv must be", {"dataset": {"csv": 5, "schema": "absent.schema.json"}}),
+        ("dataset: schema must be", {"dataset": {"csv": "absent.csv", "schema": None}}),
+        ("top-level: dataset must be", {"dataset": None}),
+    ], ids=str)
+    def test_bad_type_rejected_before_reading(self, named, d):
+        d = {"dataset": {"csv": "absent.csv", "schema": "absent.schema.json"}, **d}
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
+            ExperimentConfig.from_dict(d)
+
+    def test_missing_dataset_rejected(self):
+        with pytest.raises(ValueError, match="^dataset: csv must be a string, got None"):
+            ExperimentConfig.from_dict({"classifiers": [{"kind": "tree"}]})
+
+    def test_direct_construction_typed(self):
+        for cls, key, value in ((SplitSettings, "k", 3.0),
+                                (BalancerSettings, "epochs", "3"),
+                                (OcsvmSettings, "enabled", 1)):
+            with pytest.raises(ValueError, match=f"{key} must be"):
+                cls(**{key: value})
+
+    @pytest.mark.parametrize("value", ["1.5", "-3", "abc", ""])
+    def test_bad_env_seed_named(self, monkeypatch, value):
+        monkeypatch.setenv("FINGAN_SEED", value)
+        d = {"dataset": {"csv": "absent.csv", "schema": "absent.schema.json"}, "seed": 3}
+        with pytest.raises(ValueError, match="FINGAN_SEED must be an integer >= 0"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("classifiers", [
+        [{"kind": "tree", "max_depth": 1}, {"kind": "tree"}],
+        [{"kind": "tree"}, {"kind": "logistic", "name": "tree"}],
+        [{"kind": "forest", "name": "a"}, {"kind": "mlp"}, {"kind": "svm", "name": "a"}],
+    ], ids=str)
+    def test_duplicate_classifier_names_rejected(self, classifiers):
+        name = classifiers[-1].get("name", classifiers[-1]["kind"])
+        d = {"dataset": {"csv": "absent.csv", "schema": "absent.schema.json"},
+             "classifiers": classifiers}
+        with pytest.raises(ValueError, match=f"two classifiers are named '{name}'"):
+            ExperimentConfig.from_dict(d)
 
 
 class TestBalance:
