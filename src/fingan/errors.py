@@ -73,6 +73,10 @@ class NonFiniteLoss(FinganError):
         self.epoch = epoch
 
 
+class NonFiniteSample(FinganError):
+    """A trained generator produced rows holding NaN or Inf."""
+
+
 class EmptyMinority(FinganError):
     pass
 

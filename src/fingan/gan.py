@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn_core
 from .data_model import NUMERIC, Table
-from .errors import EmptyMinority, NonFiniteLoss, SchemaMismatch
+from .errors import EmptyMinority, NonFiniteLoss, NonFiniteSample, SchemaMismatch
 from .nn_core import (
     AdamConfig,
     Layer,
@@ -385,7 +385,8 @@ def balance_by_oversampling(train, model, target="parity", seed=0):
 
     target: "parity" synthesizes (majority - minority) rows; an integer
     synthesizes exactly that many. Output row order is shuffled
-    deterministically from the seed.
+    deterministically from the seed. Raises NonFiniteSample if any
+    synthetic row holds NaN or Inf.
     """
     from .data_model import concat_tables
 
@@ -393,6 +394,9 @@ def balance_by_oversampling(train, model, target="parity", seed=0):
     if n_synth == 0:
         return train.subset(np.arange(train.n_rows))
     synth = model.sample(n_synth, seed)
+    bad = int((~np.isfinite(synth.X)).any(axis=1).sum())
+    if bad:
+        raise NonFiniteSample(f"{bad} of {n_synth} synthetic rows are not finite")
     merged = concat_tables([train, synth])
     order = np.random.default_rng(seed).permutation(merged.n_rows)
     return merged.subset(order)

@@ -15,6 +15,7 @@ per network; the per-layer weights and biases are views (see ``unflatten``).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,16 +69,24 @@ class NetworkSpec:
         fan_ins = (self.input_dim,) + tuple(l.width for l in self.layers[:-1])
         return sum((fan_in + 1) * l.width for fan_in, l in zip(fan_ins, self.layers))
 
+    @cached_property
+    def offsets(self):
+        """Per layer, (start, end, shape) of its weights in the flat buffer;
+        its biases follow at end:end + shape[0]."""
+        offsets, start, fan_in = [], 0, self.input_dim
+        for layer in self.layers:
+            end = start + layer.width * fan_in
+            offsets.append((start, end, (layer.width, fan_in)))
+            start, fan_in = end + layer.width, layer.width
+        return tuple(offsets)
+
 
 def unflatten(spec, flat):
     """Per-layer (out, in) weight views and (out,) bias views into flat."""
     weights, biases = [], []
-    start, fan_in = 0, spec.input_dim
-    for layer in spec.layers:
-        end = start + layer.width * fan_in
-        weights.append(flat[start:end].reshape(layer.width, fan_in))
-        biases.append(flat[end:end + layer.width])
-        start, fan_in = end + layer.width, layer.width
+    for start, end, shape in spec.offsets:
+        weights.append(flat[start:end].reshape(shape))
+        biases.append(flat[end:end + shape[0]])
     return weights, biases
 
 
@@ -207,11 +216,12 @@ def backward(state, activations, loss_grad_at_output):
     if grad.shape != activations[-1].shape:
         raise ShapeMismatch("output gradient shape differs from output activation")
     flat = np.empty(state.params.size)
-    grad_w, grad_b = unflatten(state.spec, flat)
-    for i in range(len(grad_w) - 1, -1, -1):
-        dz = _activation_grad(activations[i + 1], grad, state.spec.layers[i])
-        np.matmul(dz.T, activations[i], out=grad_w[i])
-        dz.sum(axis=0, out=grad_b[i])
+    spec = state.spec
+    for i in range(len(spec.layers) - 1, -1, -1):
+        start, end, shape = spec.offsets[i]
+        dz = _activation_grad(activations[i + 1], grad, spec.layers[i])
+        np.matmul(dz.T, activations[i], out=flat[start:end].reshape(shape))
+        dz.sum(axis=0, out=flat[end:end + shape[0]])
         grad = dz @ state.weights[i]
     return flat, grad
 

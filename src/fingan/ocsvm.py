@@ -1,14 +1,27 @@
 """One-class SVM in the nu formulation; support vectors give the undersample.
 
-Solves min 1/2 a'Ka subject to 0 <= a_i <= 1/(nu n), sum a_i = 1 by pairwise
-most-violating coordinate transfers. The solver never inverts K, so the
-indefinite sigmoid kernel is tolerated; a stall flag guards non-convergence.
+Solves min 1/2 a'Ka subject to 0 <= a_i <= C = 1/(nu n), sum a_i = 1 by
+pairwise most-violating coordinate transfers. The solver never inverts K, so
+the indefinite sigmoid kernel is tolerated; a stall flag guards
+non-convergence.
+
+The rbf fit starts where LIBSVM's one-class solver does: a_i = C on the
+floor(nu n) rows with the smallest (K 1/n)_i, the most outlying ones, and the
+rest of the unit sum on the next row. From the uniform start a = 1/n every
+alpha that ends at 0 has to fall in a sweep of its own, so that start takes at
+least (1 - nu) n sweeps; the warm one takes tens (45 instead of 3,257 on a
+6,480-row fit) and keeps the same support set up to rows that sit on the
+margin within GAP_TOL. Linear and sigmoid keep the uniform start. A linear
+kernel has rank <= d, so its optimal alpha is not unique and the support set
+depends on the start; the sigmoid kernel is indefinite, and a warm start ends
+at another point.
 
 Up to DENSE_KERNEL_BYTES (8 n^2 <= 64 MiB, n <= 2896) the fit holds one dense
 n x n float64 kernel and nothing else of that size. Above it the fit holds no
-n x n array: it builds the gradient from ROW_BLOCK-row blocks of the kernel's
-upper part, then evaluates only rows i and j in each sweep. There is no row
-cache: on a 6.5k-row fit the solver reads almost every row once.
+n x n array: it evaluates K a in blocks of at most KERNEL_BLOCK_BYTES (and
+ROW_BLOCK rows), then only rows i and j in each sweep. There is no row cache:
+a cold-started fit reads almost every row once, and a warm-started one reads
+two rows in each of a few dozen sweeps.
 """
 
 import warnings
@@ -28,8 +41,9 @@ KERNEL_KINDS = (SIGMOID, RBF, LINEAR)
 SV_TOL = 1e-8
 GAP_TOL = 1e-6
 MAX_SWEEPS = 100_000
-ROW_BLOCK = 256  # rows per temporary in kernel_matrix and per streamed block
+ROW_BLOCK = 256  # rows per temporary in kernel_matrix, and most per streamed block
 DENSE_KERNEL_BYTES = 64 * 2**20  # larger kernels are streamed, never held
+KERNEL_BLOCK_BYTES = 16 * 2**20  # most bytes of one streamed block
 
 
 @dataclass(frozen=True)
@@ -116,33 +130,64 @@ class OcsvmModel:
         }
 
 
-def _gradient_and_rows(kernel, X, alpha):
-    """(g, rows): the gradient g = K alpha, and rows(i, j) -> rows i and j of K.
+def _kernel_operator(kernel, X):
+    """(matvec, rows): matvec(alpha) -> K alpha, and rows(i, j) -> rows i and j of K.
 
-    Up to DENSE_KERNEL_BYTES, K is built once and rows are views of it.
-    Above it, each ROW_BLOCK-row block of K's upper part, K[s:e, s:], is
-    evaluated once and feeds both g[s:e] and, transposed as K[e:, s:e],
-    g[e:]; rows(i, j) then evaluates the two rows it is asked for.
+    Up to DENSE_KERNEL_BYTES, K is built once and both read it. Above it,
+    nothing n x n is held and matvec evaluates K in blocks of ROW_BLOCK rows,
+    fewer if a block of n columns would pass KERNEL_BLOCK_BYTES. When more
+    than half of alpha is nonzero, each block of K's upper part, K[s:e, s:],
+    is evaluated once and feeds both g[s:e] and, transposed as K[e:, s:e],
+    g[e:]; otherwise only the columns where alpha is nonzero are evaluated.
+    rows(i, j) evaluates the two rows it is asked for.
     """
     n = X.shape[0]
     if 8 * n * n <= DENSE_KERNEL_BYTES:
         K = kernel_matrix(kernel, X)
         # K is symmetric, so rows i and j are columns i and j, read contiguously
-        return K @ alpha, lambda i, j: (K[i], K[j])
+        return (lambda alpha: K @ alpha), (lambda i, j: (K[i], K[j]))
     sq = (X * X).sum(axis=1)
-    g = np.zeros(n)
-    for s in range(0, n, ROW_BLOCK):
-        e = min(s + ROW_BLOCK, n)
-        upper = kernel_matrix(kernel, X[s:e], X[s:], norms=(sq[s:e], sq[s:]))
-        g[s:e] += upper @ alpha[s:]
-        g[e:] += alpha[s:e] @ upper[:, e - s:]
+    step = min(ROW_BLOCK, max(1, KERNEL_BLOCK_BYTES // (8 * n)))
+
+    def matvec(alpha):
+        cols = np.flatnonzero(alpha)
+        g = np.zeros(n)
+        if 2 * len(cols) > n:
+            for s in range(0, n, step):
+                e = min(s + step, n)
+                upper = kernel_matrix(kernel, X[s:e], X[s:], norms=(sq[s:e], sq[s:]))
+                g[s:e] += upper @ alpha[s:]
+                g[e:] += alpha[s:e] @ upper[:, e - s:]
+            return g
+        X_cols, sq_cols, alpha_cols = X[cols], sq[cols], alpha[cols]
+        for s in range(0, n, step):
+            e = min(s + step, n)
+            block = kernel_matrix(kernel, X[s:e], X_cols, norms=(sq[s:e], sq_cols))
+            g[s:e] = block @ alpha_cols
+        return g
 
     def rows(i, j):
         pair = [i, j]
         K_pair = kernel_matrix(kernel, X[pair], X, norms=(sq[pair], sq))
         return K_pair[0], K_pair[1]
 
-    return g, rows
+    return matvec, rows
+
+
+def _warm_start(g0, nu, C):
+    """alpha = C on the floor(nu n) rows with the smallest g0 = K 1/n, the
+    most outlying ones, and the rest of the unit sum, unless it is below
+    1e-15, on the next row."""
+    n = len(g0)
+    k = int(nu * n)
+    order = np.argsort(g0, kind="stable")
+    alpha = np.zeros(n)
+    alpha[order[:k]] = C
+    # not 1 - k C: for a denormal nu n, C is inf and 0 C is nan
+    rest = 1.0 - k / (nu * n)
+    if k < n and rest > 1e-15:
+        alpha[order[k]] = rest
+    return alpha
 
 
 def fit_ocsvm(X, nu, kernel):
@@ -158,8 +203,12 @@ def fit_ocsvm(X, nu, kernel):
         raise ValueError("need at least 2 rows")
 
     C = 1.0 / (nu * n)
+    matvec, rows = _kernel_operator(kernel, X)
     alpha = np.full(n, 1.0 / n)  # feasible: 1/n <= C
-    g, rows = _gradient_and_rows(kernel, X, alpha)  # gradient of 1/2 a'Ka
+    g = matvec(alpha)  # gradient of 1/2 a'Ka
+    if kernel.kind == RBF:
+        alpha = _warm_start(g, nu, C)
+        g = matvec(alpha)
     obj = 0.5 * float(alpha @ g)
     history = [obj]
     # added to g before the arg-min (max): 0 where alpha can rise (fall),

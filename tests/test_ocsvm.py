@@ -69,12 +69,28 @@ def naive_kernel(spec, A, B):
     return np.exp(-spec.gamma * np.maximum(sq, 0.0))
 
 
-def column_update_fit(X, nu, kernel):
-    """The pairwise solver with its gradient updated from columns of K."""
+def warm_start(K, nu):
+    """alpha = C on the floor(nu n) rows of least K 1/n (ties to the lower
+    index), the rest of the unit sum on the next one unless it is below
+    1e-15."""
+    n = K.shape[0]
+    C = 1.0 / (nu * n)
+    k = int(nu * n)
+    order = np.argsort(K @ np.full(n, 1.0 / n), kind="stable")
+    alpha = np.zeros(n)
+    alpha[order[:k]] = C
+    if k < n and 1.0 - k / (nu * n) > 1e-15:
+        alpha[order[k]] = 1.0 - k / (nu * n)
+    return alpha
+
+
+def column_update_fit(X, nu, kernel, start=None):
+    """The pairwise solver with its gradient updated from columns of K, from
+    start (alpha = 1/n by default)."""
     n = X.shape[0]
     C = 1.0 / (nu * n)
     K = kernel_matrix(kernel, X)
-    alpha = np.full(n, 1.0 / n)
+    alpha = np.full(n, 1.0 / n) if start is None else start.copy()
     g = K @ alpha
     obj = 0.5 * float(alpha @ g)
     history = [obj]
@@ -106,6 +122,11 @@ def column_update_fit(X, nu, kernel):
     return alpha, float(g[margin].mean()), history
 
 
+def fixture_rows(n_neg, seed):
+    majority = mixed_imbalanced(n_neg, 10, seed=seed).negatives()
+    return encode_for_kernel(majority, fit_preprocess(majority))
+
+
 class TestKernelMatrix:
     # 40 rows fit in one row block; 300 = 256 + 44 rows do not divide into
     # blocks, and there OpenBLAS's gemm rounds some (i, j) and (j, i) apart
@@ -130,8 +151,7 @@ class TestKernelMatrix:
     @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
     @pytest.mark.parametrize("n_neg", [60, 300])
     def test_rows_equal_columns_on_fixtures(self, kernel, n_neg):
-        majority = mixed_imbalanced(n_neg, 10, seed=n_neg).negatives()
-        K = kernel_matrix(kernel, encode_for_kernel(majority, fit_preprocess(majority)))
+        K = kernel_matrix(kernel, fixture_rows(n_neg, n_neg))
         for i in range(K.shape[0]):
             assert np.array_equal(K[i], K[:, i])
 
@@ -194,13 +214,15 @@ class TestFit:
         ours = 0.5 * model.alpha @ K @ model.alpha
         assert ours <= brute_force_objective(kernel, n, nu) + 1e-4
 
-    @pytest.mark.parametrize("kernel", [KernelSpec("rbf", 0.5), KERNELS[1]],
+    # rbf starts warm, linear and sigmoid from alpha = 1/n
+    @pytest.mark.parametrize("kernel", [KernelSpec("rbf", 0.5), *KERNELS[1:]],
                              ids=lambda k: k.kind)
     @pytest.mark.parametrize("seed", [0, 4])
     def test_row_updates_equal_column_updates(self, kernel, seed):
         X = np.random.default_rng(seed).normal(size=(300, 3))
         model = fit_ocsvm(X, 0.3, kernel)
-        alpha, rho, history = column_update_fit(X, 0.3, kernel)
+        start = warm_start(kernel_matrix(kernel, X), 0.3) if kernel.kind == "rbf" else None
+        alpha, rho, history = column_update_fit(X, 0.3, kernel, start)
         np.testing.assert_array_equal(model.alpha, alpha)
         np.testing.assert_array_equal(model.support_indices, np.flatnonzero(alpha > 1e-8))
         assert model.rho == rho
@@ -243,8 +265,7 @@ class TestStreamedPath:
     @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
     @pytest.mark.parametrize("n_neg", [60, 300])
     def test_same_support_as_dense(self, monkeypatch, kernel, n_neg, nu):
-        majority = mixed_imbalanced(n_neg, 10, seed=n_neg).negatives()
-        X = encode_for_kernel(majority, fit_preprocess(majority))
+        X = fixture_rows(n_neg, n_neg)
         dense = fit_ocsvm(X, nu, kernel)
         monkeypatch.setattr(ocsvm, "DENSE_KERNEL_BYTES", 0)
         streamed = fit_ocsvm(X, nu, kernel)
@@ -265,6 +286,84 @@ class TestStreamedPath:
         assert not model.stalled
         # one upper block and its rbf temporary, not the 72 MB kernel
         assert peak < 3 * 8 * ROW_BLOCK * n
+
+    @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
+    def test_blocks_sized_from_byte_budget(self, monkeypatch, kernel):
+        n = 1000
+        X = np.random.default_rng(14).normal(size=(n, 6))
+        monkeypatch.setattr(ocsvm, "DENSE_KERNEL_BYTES", 0)
+        reference = fit_ocsvm(X, 0.5, kernel)
+        budget = 8 * 8 * n  # 8 rows a block
+        monkeypatch.setattr(ocsvm, "KERNEL_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            model = fit_ocsvm(X, 0.5, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(model.support_indices, reference.support_indices)
+        # a block and its rbf temporary, plus the fit's length-n vectors
+        assert peak < 2 * budget + 32 * 8 * n
+
+
+@pytest.fixture(params=["dense", "streamed"])
+def path(request, monkeypatch):
+    """Each test runs once with the dense kernel and once streamed."""
+    if request.param == "streamed":
+        monkeypatch.setattr(ocsvm, "DENSE_KERNEL_BYTES", 0)
+    return request.param
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("nu", [0.5, 0.1, 0.02])
+    @pytest.mark.parametrize("n_neg", [60, 300])
+    def test_same_support_as_cold_start(self, path, n_neg, nu):
+        X = fixture_rows(n_neg, n_neg)
+        cold, _, _ = column_update_fit(X, nu, KERNELS[0])
+        model = fit_ocsvm(X, nu, KERNELS[0])
+        np.testing.assert_array_equal(model.support_indices, np.flatnonzero(cold > 1e-8))
+
+    # on these sharper kernels the two fits keep support sets that differ
+    # by a few rows, all on the margin: either fit stops within GAP_TOL
+    @pytest.mark.parametrize("nu", [0.1, 0.02])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_support_differs_only_on_the_margin(self, seed, gamma, nu):
+        X = fixture_rows(300, seed)
+        kernel = KernelSpec("rbf", gamma)
+        K = kernel_matrix(kernel, X)
+        cold, cold_rho, cold_history = column_update_fit(X, nu, kernel)
+        model = fit_ocsvm(X, nu, kernel)
+        assert model.objective_history[-1] == pytest.approx(cold_history[-1], rel=1e-6)
+        moved = (cold > 1e-8) != (model.alpha > 1e-8)
+        assert np.all(np.abs(K[moved] @ cold - cold_rho) <= 10 * GAP_TOL)
+        assert np.all(np.abs(K[moved] @ model.alpha - model.rho) <= 10 * GAP_TOL)
+
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_few_sweeps(self, path, n):
+        # from alpha = 1/n at least (1 - nu) n alphas must each fall to 0
+        X = np.random.default_rng(n).normal(size=(n, 4))
+        model = fit_ocsvm(X, 0.5, KernelSpec("rbf", 0.25))
+        assert len(model.objective_history) - 1 < 0.1 * n
+
+    # at nu 1e-310, C = 1 / (nu n) overflows to inf
+    @pytest.mark.parametrize("n, nu, remainder", [(40, 0.25, False), (40, 0.33, True),
+                                                   (41, 0.5, True), (40, 1.0, False),
+                                                   (8, 1e-310, True)])
+    def test_start_is_feasible(self, n, nu, remainder):
+        g0 = np.random.default_rng(n).normal(size=n)
+        C = 1.0 / (nu * n)
+        alpha = ocsvm._warm_start(g0, nu, C)
+        k = int(nu * n)
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all((alpha >= 0) & (alpha <= C))
+        order = np.argsort(g0, kind="stable")
+        assert np.all(alpha[order[:k]] == C)
+        assert np.count_nonzero(alpha) == k + remainder
+
+    def test_nu_one_is_the_uniform_start(self):
+        g0 = np.random.default_rng(0).normal(size=25)
+        np.testing.assert_array_equal(ocsvm._warm_start(g0, 1.0, 1.0 / 25), np.full(25, 1 / 25))
 
 
 class TestDecision:

@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
+import fingan.ocsvm as ocsvm
 import fingan.pipeline as pipeline
 from fingan.data_model import Schema, fit_preprocess, stratified_kfold
-from fingan.errors import AuditMismatch
+from fingan.errors import AuditMismatch, NonFiniteSample, SolverStallWarning
 from fingan.fixtures import mixed_imbalanced, table_to_csv
 from fingan.ocsvm import encode_for_kernel
 from fingan.pipeline import (
@@ -313,6 +314,14 @@ class TestBalance:
         with pytest.raises(AuditMismatch):
             balance(table, settings, seed=0)
 
+    def test_ocsvm_stall_warned_and_audited(self, monkeypatch):
+        monkeypatch.setattr(ocsvm, "MAX_SWEEPS", 1)
+        table = mixed_imbalanced(60, 12, seed=2)
+        settings = BalancerSettings(ocsvm=OcsvmSettings(enabled=True, kernel="sigmoid"))
+        with pytest.warns(SolverStallWarning, match="hit 1 sweeps"):
+            _, audit, _ = balance(table, settings, seed=0)
+        assert audit["ocsvm"]["stalled"] is True
+
     def test_none_balancer_identity(self):
         table = mixed_imbalanced(30, 10, seed=3)
         balanced, audit, model = balance(table, BalancerSettings(), seed=0)
@@ -322,6 +331,19 @@ class TestBalance:
 
 
 class TestRunHoldout:
+    def test_non_finite_synthetic_rows_fail_typed(self, tmp_path):
+        # at this learning rate CTGAN's generator puts NaN in 2 of the 3
+        # synthetic rows at seed 23, and a report used to be written with them
+        config = make_config(
+            tmp_path, mixed_imbalanced(8, 4, 0),
+            split={"mode": "holdout", "train_fraction": 0.75},
+            balancer={"oversampler": "ctgan", "epochs": 1, "learning_rate": 4.77e153,
+                      "batch_size": 2, "latent_dim": 2, "max_modes": 1},
+            seed=23)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteSample):
+            run_experiment(config)
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_report_files_written(self, tmp_path):
         config = make_config(tmp_path, mixed_imbalanced(120, 30, seed=0),
                              classifiers=[{"kind": "tree"}, {"kind": "logistic"}])
