@@ -134,12 +134,11 @@ def _kernel_operator(kernel, X):
     """(matvec, rows): matvec(alpha) -> K alpha, and rows(i, j) -> rows i and j of K.
 
     Up to DENSE_KERNEL_BYTES, K is built once and both read it. Above it,
-    nothing n x n is held and matvec evaluates K in blocks of ROW_BLOCK rows,
-    fewer if a block of n columns would pass KERNEL_BLOCK_BYTES. When more
-    than half of alpha is nonzero, each block of K's upper part, K[s:e, s:],
-    is evaluated once and feeds both g[s:e] and, transposed as K[e:, s:e],
-    g[e:]; otherwise only the columns where alpha is nonzero are evaluated.
-    rows(i, j) evaluates the two rows it is asked for.
+    nothing n x n is held and matvec evaluates K's upper part in blocks of
+    ROW_BLOCK rows, fewer if a block of n columns would pass
+    KERNEL_BLOCK_BYTES. Each block, K[s:e, s:], is evaluated once and feeds
+    both g[s:e] and, transposed as K[e:, s:e], g[e:]. rows(i, j) evaluates the
+    two rows it is asked for.
     """
     n = X.shape[0]
     if 8 * n * n <= DENSE_KERNEL_BYTES:
@@ -150,20 +149,12 @@ def _kernel_operator(kernel, X):
     step = min(ROW_BLOCK, max(1, KERNEL_BLOCK_BYTES // (8 * n)))
 
     def matvec(alpha):
-        cols = np.flatnonzero(alpha)
         g = np.zeros(n)
-        if 2 * len(cols) > n:
-            for s in range(0, n, step):
-                e = min(s + step, n)
-                upper = kernel_matrix(kernel, X[s:e], X[s:], norms=(sq[s:e], sq[s:]))
-                g[s:e] += upper @ alpha[s:]
-                g[e:] += alpha[s:e] @ upper[:, e - s:]
-            return g
-        X_cols, sq_cols, alpha_cols = X[cols], sq[cols], alpha[cols]
         for s in range(0, n, step):
             e = min(s + step, n)
-            block = kernel_matrix(kernel, X[s:e], X_cols, norms=(sq[s:e], sq_cols))
-            g[s:e] = block @ alpha_cols
+            upper = kernel_matrix(kernel, X[s:e], X[s:], norms=(sq[s:e], sq[s:]))
+            g[s:e] += upper @ alpha[s:]
+            g[e:] += alpha[s:e] @ upper[:, e - s:]
         return g
 
     def rows(i, j):
