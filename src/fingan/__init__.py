@@ -30,18 +30,13 @@ from .evaluation import (  # noqa: F401
 from .gan import (  # noqa: F401
     GanConfig,
     GeneratorModel,
+    ModeNormalizer,
     balance_by_oversampling,
     encode_for_gan,
     sample_synthetic,
     train_gan,
 )
-from .ctgan import (  # noqa: F401
-    CtganModel,
-    ModeNormalizer,
-    fit_mode_normalizer,
-    sample_ctgan,
-    train_ctgan,
-)
+from .ctgan import fit_mode_normalizer, train_ctgan  # noqa: F401
 from .ocsvm import (  # noqa: F401
     KernelSpec,
     OcsvmModel,

@@ -7,23 +7,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ctgan import CtganModel, train_ctgan
+from .ctgan import train_ctgan
 from .data_model import Schema, fit_preprocess, load_csv
 from .errors import FinganError
 from .fixtures import table_to_csv, write_fixture_files
 from .gan import CTGAN, VANILLA, GanConfig, GeneratorModel, train_gan
 from .ocsvm import KERNEL_KINDS, undersample_majority
 from .pipeline import ExperimentConfig, render_report_text, run_experiment
-
-
-def load_model_file(path):
-    with open(path, encoding="utf-8") as f:
-        d = json.load(f)
-    fmt = d.get("format")
-    for model_class in (GeneratorModel, CtganModel):
-        if fmt == model_class.FORMAT:
-            return model_class.from_dict(d)
-    raise FinganError(f"unrecognized model format {fmt!r}")
 
 
 def _emit(args, payload, human):
@@ -65,17 +55,15 @@ def cmd_train_gan(args):
 
 
 def cmd_sample(args):
-    model = load_model_file(args.model)
+    with open(args.model, encoding="utf-8") as f:
+        model = GeneratorModel.from_dict(json.load(f))
+    condition = None
     if args.condition:
-        if not isinstance(model, CtganModel):
-            raise FinganError(f"--condition needs a conditional (CTGAN) model; "
-                              f"{args.model} is {model.FORMAT}")
         col, sep, val = args.condition.partition("=")
         if not sep:
             raise FinganError(f"--condition must be column=category, got {args.condition!r}")
-        table = model.sample(args.n, args.seed, condition=(col, val))
-    else:
-        table = model.sample(args.n, args.seed)
+        condition = (col, val)
+    table = model.sample(args.n, args.seed, condition)
     table_to_csv(table, args.out)
     _emit(args, {"rows": table.n_rows, "out": args.out},
           f"wrote {table.n_rows} synthetic rows to {args.out}")

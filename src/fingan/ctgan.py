@@ -9,34 +9,27 @@ represented. Training runs the adversarial loop that vanilla GAN and WGAN
 also use (``gan.train_adversarial``) with a Wasserstein critic: conditions
 are appended to the generator's noise and to both critic inputs, the real
 rows come from the sampled condition's bucket, and a cross-entropy term
-pushes each fake row toward its condition's category.
+pushes each fake row toward its condition's category. The trained model is
+a ``gan.GeneratorModel`` of mode CTGAN, loaded and sampled as GAN and WGAN are.
 """
-
-import math
-import warnings
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import nn_core
-from .data_model import Table
-from .errors import (
-    EmptyConditionBucketWarning,
-    EmptyMinority,
-    InvalidOneHot,
-    NoDiscreteColumns,
-    SchemaMismatch,
-    UnknownCondition,
-)
+from .errors import EmptyMinority, InvalidOneHot
 from .gan import (
+    ALPHA_SCALE,
     CTGAN,
     MAX_MODES,
     WGAN,
-    Block,
+    DiscreteStats,
+    GeneratorModel,
+    ModeNormalizer,
     build_discriminator,
     build_generator,
-    check_generator,
+    draw_conditions,
     encode_categoricals,
+    output_blocks,
     train_adversarial,
 )
 
@@ -45,39 +38,8 @@ from .gan import generator_backward_step  # noqa: F401
 from .nn_core import adam_step, backward, forward  # noqa: F401
 
 WEIGHT_PRUNE = 0.005
-ALPHA_SCALE = 4.0
 EM_MAX_ITERS = 200
 EM_TOL = 1e-8
-# Generator.choice's tolerance on the sum of p for float64 probabilities
-CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
-
-
-@dataclass
-class ModeNormalizer:
-    weights: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
-    loglik_history: list = field(default_factory=list)
-
-    @property
-    def n_modes(self):
-        return len(self.weights)
-
-    def to_dict(self):
-        return {
-            "weights": self.weights.tolist(),
-            "means": self.means.tolist(),
-            "stds": self.stds.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        weights, means, stds = (np.array(d[key]) for key in ("weights", "means", "stds"))
-        if not (weights.ndim == 1 and 0 < len(weights) == len(means) == len(stds)):
-            raise SchemaMismatch(
-                f"normalizer with {len(weights)} weights, {len(means)} means "
-                f"and {len(stds)} stds")
-        return cls(weights, means, stds)
 
 
 def _sigma_floor(values):
@@ -231,166 +193,24 @@ def decode_continuous(alpha, mode_onehot, norm):
     return float(alpha * ALPHA_SCALE * norm.stds[k] + norm.means[k])
 
 
-@dataclass
-class DiscreteStats:
-    """Per discrete column: schema index, level count, observed frequencies.
-
-    ``cdfs`` holds, per column, the cdf that ``Generator.choice`` builds from
-    the column's log(1 + frequency) category probabilities. The probabilities
-    are validated once here the way ``choice`` validates them on every call:
-    finite, non-negative and summing to 1 within its tolerance; a failure
-    raises ValueError.
-    """
-
-    columns: list  # schema column indices
-    frequencies: list  # one count array per column
-    offsets: list  # start of each column's block in the flattened cond vector
-    cdfs: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.cdfs = []
-        for freq in self.frequencies:
-            logf = np.log1p(freq)
-            total = logf.sum()
-            probs = logf / total if total > 0 else np.full(len(logf), 1.0 / len(logf))
-            if not (np.all(np.isfinite(probs) & (probs >= 0))
-                    and abs(math.fsum(probs) - 1.0) <= CHOICE_ATOL):
-                raise ValueError(f"category probabilities {probs} are not a distribution")
-            cdf = probs.cumsum()
-            cdf /= cdf[-1]
-            self.cdfs.append(cdf)
-
-    @property
-    def total_width(self):
-        return sum(len(f) for f in self.frequencies)
-
-
 def build_discrete_stats(table):
     cols = table.schema.categorical_indices
-    freqs, offsets = [], []
-    offset = 0
-    for j in cols:
-        levels = len(table.schema.columns[j].categories)
-        counts = np.bincount(table.X[:, j].astype(int), minlength=levels)
-        freqs.append(counts.astype(float))
-        offsets.append(offset)
-        offset += levels
-    return DiscreteStats(list(cols), freqs, offsets)
+    freqs = [np.bincount(table.X[:, j].astype(int),
+                         minlength=len(table.schema.columns[j].categories)).astype(float)
+             for j in cols]
+    return DiscreteStats(list(cols), freqs)
 
 
-def _sample_cond_batch(stats, b, rng):
-    """Batched condition draw: uniform column choice, log(1 + frequency)
-    category choice; returns (column positions in stats.columns,
-    categories, onehot matrix).
-
-    Takes the values a per-row ``rng.choice(p=...)`` loop would take from
-    the stream, in the same order: b column indices, then b uniforms, each
-    looked up in its column's cdf as ``choice`` looks it up.
-    """
-    if not stats.columns:
-        raise NoDiscreteColumns("dataset has no discrete columns to condition on")
-    cols = rng.integers(len(stats.columns), size=b)
-    uniforms = rng.random(b)
-    cats = np.empty(b, dtype=int)
-    for ci, cdf in enumerate(stats.cdfs):
-        rows = cols == ci
-        cats[rows] = cdf.searchsorted(uniforms[rows], side="right")
-    onehot = np.zeros((b, stats.total_width))
-    onehot[np.arange(b), np.asarray(stats.offsets)[cols] + cats] = 1.0
-    return cols, cats, onehot
-
-
-def _build_ctgan_layout(schema, normalizers):
-    blocks = []
-    offset = 0
-    for j in schema.numeric_indices:
-        blocks.append(Block("alpha", j, offset, 1))
-        offset += 1
-        m = normalizers[j].n_modes
-        blocks.append(Block("mode", j, offset, m))
-        offset += m
-    for j in schema.categorical_indices:
-        width = len(schema.columns[j].categories)
-        blocks.append(Block("categorical", j, offset, width))
-        offset += width
-    return tuple(blocks), offset
-
-
-def _encode_table(table, normalizers, blocks, width, rng):
-    out = encode_categoricals(table, blocks, width)
-    # alpha and its mode one-hot come from the same draw
-    for j in table.schema.numeric_indices:
-        alpha_block = next(b for b in blocks if b.kind == "alpha" and b.column == j)
-        mode_block = next(b for b in blocks if b.kind == "mode" and b.column == j)
-        alphas, onehots = encode_continuous_batch(table.X[:, j], normalizers[j], rng)
-        out[:, alpha_block.offset] = alphas
-        out[:, mode_block.offset:mode_block.offset + mode_block.width] = onehots
+def _encode_table(table, normalizers, blocks, rng):
+    out = encode_categoricals(table, blocks, sum(b.width for b in blocks))
+    # each mode block follows its alpha; both come from the same draw
+    for block in blocks:
+        if block.kind == "mode":
+            alphas, onehots = encode_continuous_batch(
+                table.X[:, block.column], normalizers[block.column], rng)
+            out[:, block.offset - 1] = alphas
+            out[:, block.offset:block.offset + block.width] = onehots
     return out
-
-
-@dataclass
-class CtganModel:
-    FORMAT = "fingan-ctgan-v2"
-
-    schema: object
-    normalizers: dict  # numeric schema column index -> ModeNormalizer
-    blocks: tuple
-    enc_width: int
-    generator: object
-    latent_dim: int
-    stats: DiscreteStats
-    history: dict = field(default_factory=dict)
-    mode: str = "ctgan"
-
-    def sample(self, n, seed, condition=None):
-        return sample_ctgan(self, n, seed, condition)
-
-    def to_dict(self):
-        return {
-            "format": self.FORMAT,
-            "schema": self.schema.to_dict(),
-            "normalizers": {str(j): nrm.to_dict() for j, nrm in self.normalizers.items()},
-            "blocks": [asdict(b) for b in self.blocks],
-            "enc_width": self.enc_width,
-            "latent_dim": self.latent_dim,
-            "generator": nn_core.state_to_dict(self.generator),
-            "stats": {
-                "columns": self.stats.columns,
-                "frequencies": [f.tolist() for f in self.stats.frequencies],
-                "offsets": self.stats.offsets,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        from .data_model import Schema
-
-        if d.get("format") != cls.FORMAT:
-            raise ValueError(f"unknown model format {d.get('format')!r}")
-        schema = Schema.from_dict(d["schema"])
-        normalizers = {int(j): ModeNormalizer.from_dict(nd)
-                       for j, nd in d["normalizers"].items()}
-        if sorted(normalizers) != schema.numeric_indices:
-            raise SchemaMismatch(f"normalizers for columns {sorted(normalizers)}, "
-                                 f"numeric columns are {schema.numeric_indices}")
-        stats = DiscreteStats(
-            list(d["stats"]["columns"]),
-            [np.array(f) for f in d["stats"]["frequencies"]],
-            list(d["stats"]["offsets"]),
-        )
-        widths = [len(f) for f in stats.frequencies]
-        if (stats.columns != schema.categorical_indices
-                or widths != [len(schema.columns[j].categories) for j in stats.columns]
-                or stats.offsets != [sum(widths[:i]) for i in range(len(widths))]):
-            raise SchemaMismatch("saved condition statistics do not match the schema")
-        blocks = tuple(Block(b["kind"], b["column"], b["offset"], b["width"])
-                       for b in d["blocks"])
-        if (blocks, d["enc_width"]) != _build_ctgan_layout(schema, normalizers):
-            raise SchemaMismatch("saved blocks do not match the schema and normalizers")
-        gen = nn_core.state_from_dict(d["generator"])
-        check_generator(gen, d["latent_dim"] + stats.total_width, blocks)
-        return cls(schema, normalizers, blocks, d["enc_width"], gen,
-                   d["latent_dim"], stats)
 
 
 def _condition_buckets(X, stats):
@@ -449,31 +269,29 @@ def train_ctgan(minority, config):
     normalizers = dict(zip(numeric, fit_mode_normalizer(
         minority.X[:, numeric], config.max_modes,
         [config.seed + j for j in numeric])))
-    blocks, enc_width = _build_ctgan_layout(schema, normalizers)
-    real = _encode_table(minority, normalizers, blocks, enc_width, rng)
+    blocks = output_blocks(schema, CTGAN, normalizers)
+    real = _encode_table(minority, normalizers, blocks, rng)
 
     stats = build_discrete_stats(minority)
     cond_dim = stats.total_width
     gen = build_generator(config.latent_dim + cond_dim, blocks, config.seed)
-    critic = build_discriminator(enc_width + cond_dim, WGAN, config.seed + 1)
+    critic = build_discriminator(real.shape[1] + cond_dim, WGAN, config.seed + 1)
 
     if cond_dim:
         buckets = _condition_buckets(minority.X, stats)
         offsets = np.asarray(stats.offsets)
-        # start of each discrete column's block in the encoding, for the
-        # condition penalty
-        block_offset = np.array([
-            next(b.offset for b in blocks if b.kind == "categorical" and b.column == j)
-            for j in stats.columns], dtype=int)
+        # the categorical blocks end the encoding in condition order: the
+        # condition penalty's column is the condition position shifted
+        categorical_start = real.shape[1] - cond_dim
 
         def draw_real(b, rng):
-            cols, cats, cond = _sample_cond_batch(stats, b, rng)
+            cols, cats, cond = draw_conditions(stats, b, rng)
             rows = _sample_bucket_rows(buckets, offsets[cols] + cats, len(real), rng)
             return real[rows], cond
 
         def draw_condition(b, rng):
-            cols, cats, cond = _sample_cond_batch(stats, b, rng)
-            return cond, block_offset[cols] + cats
+            cols, cats, cond = draw_conditions(stats, b, rng)
+            return cond, categorical_start + offsets[cols] + cats
 
         condition_loss = _condition_loss
     else:
@@ -485,79 +303,5 @@ def train_ctgan(minority, config):
     steps = [config.batch_size] * max(1, minority.n_rows // config.batch_size)
     history = train_adversarial(gen, critic, rng, config, True, lambda rng: steps,
                                 draw_real, draw_condition, condition_loss)
-    return CtganModel(schema, normalizers, blocks, enc_width, gen,
-                      config.latent_dim, stats, history=history)
-
-
-def _decode_ctgan(model, encoded, condition=None):
-    n = encoded.shape[0]
-    X = np.zeros((n, len(model.schema.columns)))
-    for block in model.blocks:
-        if block.kind == "alpha":
-            continue
-        sl = slice(block.offset, block.offset + block.width)
-        if block.kind == "mode":
-            norm = model.normalizers[block.column]
-            modes = np.argmax(encoded[:, sl], axis=1)
-            alpha_block = next(b for b in model.blocks
-                               if b.kind == "alpha" and b.column == block.column)
-            alphas = np.clip(encoded[:, alpha_block.offset], -1.0, 1.0)
-            X[:, block.column] = alphas * ALPHA_SCALE * norm.stds[modes] + norm.means[modes]
-        else:
-            X[:, block.column] = np.argmax(encoded[:, sl], axis=1)
-    if condition is not None:
-        col, cat = condition
-        X[:, col] = cat
-    return Table(model.schema, X, np.ones(n, dtype=int))
-
-
-def _resolve_condition(model, condition):
-    """(column name or index, category level or index) -> (col idx, cat idx,
-    stats idx). UnknownCondition lists the discrete columns, or the column's
-    categories, when either does not resolve."""
-    col, cat = condition
-    names = model.schema.names
-    if isinstance(col, str):
-        col = names.index(col) if col in names else None
-    if col not in model.stats.columns:
-        discrete = ", ".join(names[c] for c in model.stats.columns)
-        raise UnknownCondition(f"cannot condition on column {condition[0]!r}; "
-                               f"the discrete columns are {discrete}")
-    spec = model.schema.columns[col]
-    if isinstance(cat, str):
-        cat = spec.categories.index(cat) if cat in spec.categories else None
-    if cat is None or not 0 <= cat < len(spec.categories):
-        raise UnknownCondition(f"column {spec.name!r} has no category {condition[1]!r}; "
-                               f"its categories are {', '.join(spec.categories)}")
-    ci = model.stats.columns.index(col)
-    if model.stats.frequencies[ci][cat] == 0:
-        warnings.warn(
-            f"condition ({spec.name!r}, category {cat}) matches no training rows; "
-            "sampling without real-bucket support",
-            EmptyConditionBucketWarning,
-        )
-    return col, cat, ci
-
-
-def sample_ctgan(model, n, seed, condition=None):
-    """Draw n positive rows; condition fixes one discrete column's category."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    cond_dim = model.stats.total_width
-    if condition is not None:
-        if not model.stats.columns:
-            raise NoDiscreteColumns("cannot condition: no discrete columns")
-        col, cat, ci = _resolve_condition(model, condition)
-        cond = np.zeros((n, cond_dim))
-        cond[:, model.stats.offsets[ci] + cat] = 1.0
-        enforced = (col, cat)
-    elif cond_dim > 0:
-        _, _, cond = _sample_cond_batch(model.stats, n, rng)
-        enforced = None
-    else:
-        cond = np.zeros((n, 0))
-        enforced = None
-    z = rng.standard_normal((n, model.latent_dim))
-    encoded = forward(model.generator, np.concatenate([z, cond], axis=1))[-1]
-    return _decode_ctgan(model, encoded, enforced)
+    return GeneratorModel(CTGAN, schema, normalizers, gen, config.latent_dim, stats,
+                          history, critic)

@@ -1,21 +1,34 @@
-"""Vanilla GAN / WGAN oversampling of the minority class.
+"""The generator model of all three oversamplers; vanilla GAN / WGAN training.
 
-The generator is one network: hidden ReLU layers, then one output layer
-with an activation segment per output block, a softmax per categorical
-column and one sigmoid covering all numeric columns. Numerics are min-max
-scaled into [0, 1] (separately from the z-score standardization used for
-classifiers) so the sigmoid segment can represent them.
-The discriminator is a fixed stack of leaky-ReLU layers ending in a sigmoid
-(vanilla) or an unbounded score (WGAN critic).
+Vanilla GAN, WGAN and CTGAN each train one generator network: hidden ReLU
+layers, then one output layer with an activation segment per output block
+(``output_blocks``). GAN and WGAN encode a row as a softmax block per
+categorical column and one sigmoid block over all numeric columns, min-max
+scaled into [0, 1] (apart from the z-score standardization of classifier
+inputs); CTGAN's encoding is described in ``fingan.ctgan``. A trained model
+of any mode is one ``GeneratorModel``, whose file derives the output layout
+from the schema and the numeric transforms on load. All three train with
+``train_adversarial``; the discriminator is a fixed stack of leaky-ReLU
+layers ending in a sigmoid (vanilla) or an unbounded score (WGAN, CTGAN).
 """
 
-from dataclasses import asdict, dataclass, field
+import math
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn_core
-from .data_model import NUMERIC, Table
-from .errors import EmptyMinority, NonFiniteLoss, NonFiniteSample, SchemaMismatch
+from .data_model import Table
+from .errors import (
+    EmptyConditionBucketWarning,
+    EmptyMinority,
+    NoDiscreteColumns,
+    NonFiniteLoss,
+    NonFiniteSample,
+    SchemaMismatch,
+    UnknownCondition,
+)
 from .nn_core import (
     AdamConfig,
     Layer,
@@ -33,6 +46,10 @@ VANILLA = "vanilla"
 WGAN = "wgan"
 CTGAN = "ctgan"
 MAX_MODES = 10
+ALPHA_SCALE = 4.0  # a CTGAN alpha is the offset from its mode's mean in 4-sigma units
+# Generator.choice's tolerance on the sum of p for float64 probabilities
+CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+WEIGHT_SUM_TOL = 1e-9  # a loaded mode normalizer's weights sum to 1 within this
 
 DISCRIMINATOR_WIDTHS = (128, 64, 32, 16, 8)
 GENERATOR_HIDDEN_WIDTHS = (64, 128)
@@ -51,33 +68,90 @@ class Block:
     width: int
 
 
-@dataclass(frozen=True)
-class GanLayout:
-    blocks: tuple  # of Block, categorical blocks first, numeric block last
-    numeric_columns: tuple  # schema column indices in block order
-    numeric_min: tuple
-    numeric_max: tuple
+@dataclass
+class ModeNormalizer:
+    """CTGAN's Gaussian mixture over one numeric column, modes by mean."""
+
+    weights: np.ndarray
+    means: np.ndarray
+    stds: np.ndarray
+    loglik_history: list = field(default_factory=list)
 
     @property
-    def width(self):
-        return sum(b.width for b in self.blocks)
+    def n_modes(self):
+        return len(self.weights)
 
     def to_dict(self):
         return {
-            "blocks": [asdict(b) for b in self.blocks],
-            "numeric_columns": list(self.numeric_columns),
-            "numeric_min": list(self.numeric_min),
-            "numeric_max": list(self.numeric_max),
+            "weights": self.weights.tolist(),
+            "means": self.means.tolist(),
+            "stds": self.stds.tolist(),
         }
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            tuple(Block(b["kind"], b["column"], b["offset"], b["width"]) for b in d["blocks"]),
-            tuple(d["numeric_columns"]),
-            tuple(d["numeric_min"]),
-            tuple(d["numeric_max"]),
-        )
+        """Raise SchemaMismatch unless d is a mixture: as many weights as
+        means and stds, finite means, finite positive stds, and finite
+        non-negative weights that sum to 1."""
+        if not isinstance(d, dict):
+            raise SchemaMismatch(f"expected a mode normalizer, got {d!r}")
+        weights, means, stds = (np.array(d[key], dtype=float)
+                                for key in ("weights", "means", "stds"))
+        if not (weights.ndim == means.ndim == stds.ndim == 1
+                and 0 < len(weights) == len(means) == len(stds)
+                and np.all(np.isfinite(means)) and np.all(np.isfinite(stds) & (stds > 0))
+                and np.all(np.isfinite(weights) & (weights >= 0))
+                and abs(weights.sum() - 1.0) <= WEIGHT_SUM_TOL):
+            raise SchemaMismatch(f"normalizer with weights {weights}, means {means} "
+                                 f"and stds {stds} is not a mixture")
+        return cls(weights, means, stds)
+
+
+def _range_from_dict(r):
+    """A saved [min, max] range; SchemaMismatch unless finite with min <= max."""
+    if not (isinstance(r, list) and len(r) == 2):
+        raise SchemaMismatch(f"expected a [min, max] range, got {r!r}")
+    lo, hi = float(r[0]), float(r[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise SchemaMismatch(f"range [{lo}, {hi}] is not finite with min <= max")
+    return lo, hi
+
+
+@dataclass
+class DiscreteStats:
+    """Per discrete column: schema index and observed category frequencies.
+
+    ``offsets`` holds the start of each column's block in the flattened
+    condition vector. ``cdfs`` holds, per column, the cdf that
+    ``Generator.choice`` builds from the column's log(1 + frequency)
+    category probabilities. The probabilities are validated once here the
+    way ``choice`` validates them on every call: finite, non-negative and
+    summing to 1 within its tolerance; a failure raises ValueError.
+    """
+
+    columns: list  # schema column indices
+    frequencies: list  # one count array per column
+    offsets: list = field(init=False)
+    cdfs: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        widths = [len(f) for f in self.frequencies]
+        self.offsets = [sum(widths[:i]) for i in range(len(widths))]
+        self.cdfs = []
+        for freq in self.frequencies:
+            logf = np.log1p(freq)
+            total = logf.sum()
+            probs = logf / total if total > 0 else np.full(len(logf), 1.0 / len(logf))
+            if not (np.all(np.isfinite(probs) & (probs >= 0))
+                    and abs(math.fsum(probs) - 1.0) <= CHOICE_ATOL):
+                raise ValueError(f"category probabilities {probs} are not a distribution")
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            self.cdfs.append(cdf)
+
+    @property
+    def total_width(self):
+        return sum(len(f) for f in self.frequencies)
 
 
 @dataclass
@@ -105,24 +179,30 @@ class GanConfig:
             raise ValueError(f"wgan_clip must be positive, got {self.wgan_clip!r}")
 
 
-def _layout_blocks(schema):
-    blocks = []
-    offset = 0
-    for j in schema.categorical_indices:
-        width = len(schema.columns[j].categories)
-        blocks.append(Block("categorical", j, offset, width))
+def output_blocks(schema, mode, numeric=None):
+    """The generator's output blocks in encoding order.
+
+    VANILLA and WGAN: one categorical block per discrete column, then one
+    numeric block over all numeric columns. CTGAN: per numeric column an
+    alpha block and a mode block as wide as its normalizer in ``numeric``,
+    then the categorical blocks.
+    """
+    blocks, offset = [], 0
+
+    def add(kind, column, width):
+        nonlocal offset
+        blocks.append(Block(kind, column, offset, width))
         offset += width
-    if schema.numeric_indices:
-        blocks.append(Block("numeric", -1, offset, len(schema.numeric_indices)))
+
+    if mode == CTGAN:
+        for j in schema.numeric_indices:
+            add("alpha", j, 1)
+            add("mode", j, numeric[j].n_modes)
+    for j in schema.categorical_indices:
+        add("categorical", j, len(schema.columns[j].categories))
+    if mode != CTGAN and schema.numeric_indices:
+        add("numeric", -1, len(schema.numeric_indices))
     return tuple(blocks)
-
-
-def make_layout(table):
-    """Block layout plus numeric min/max observed on this table."""
-    num_cols = tuple(table.schema.numeric_indices)
-    mins = tuple(float(table.X[:, j].min()) for j in num_cols)
-    maxs = tuple(float(table.X[:, j].max()) for j in num_cols)
-    return GanLayout(_layout_blocks(table.schema), num_cols, mins, maxs)
 
 
 def encode_categoricals(table, blocks, width):
@@ -139,35 +219,44 @@ def encode_categoricals(table, blocks, width):
     return out
 
 
-def encode_for_gan(table, layout=None):
-    """One-hot categoricals plus [0,1] min-max scaled numerics."""
-    if layout is None:
-        layout = make_layout(table)
-    out = encode_categoricals(table, layout.blocks, layout.width)
-    start = layout.width - len(layout.numeric_columns)  # the numeric block is last
-    for k, j in enumerate(layout.numeric_columns):
-        lo, hi = layout.numeric_min[k], layout.numeric_max[k]
+def encode_for_gan(table):
+    """One-hot categoricals plus numerics min-max scaled into [0, 1] by the
+    range each takes on this table; returns (encoded rows, {numeric column:
+    (min, max)})."""
+    numeric = {j: (float(table.X[:, j].min()), float(table.X[:, j].max()))
+               for j in table.schema.numeric_indices}
+    blocks = output_blocks(table.schema, VANILLA)
+    width = sum(b.width for b in blocks)
+    out = encode_categoricals(table, blocks, width)
+    start = width - len(numeric)  # the numeric block is last
+    for k, (j, (lo, hi)) in enumerate(numeric.items()):
         if hi > lo:
             out[:, start + k] = (table.X[:, j] - lo) / (hi - lo)
         else:
             out[:, start + k] = 0.5
-    return out, layout
+    return out, numeric
 
 
-def decode_from_gan(encoded, layout, schema, label=1):
-    """Argmax categorical blocks, inverse min-max numerics; labels fixed."""
+def decode_rows(encoded, schema, mode, numeric):
+    """Positive rows from generator output: argmax categorical blocks; GAN
+    numerics inverse min-max scaled from [0, 1], CTGAN numerics rebuilt from
+    the alpha (clipped to [-1, 1]) and the argmax mode of their normalizer."""
     n = encoded.shape[0]
     X = np.zeros((n, len(schema.columns)))
-    for block in layout.blocks:
-        sl = slice(block.offset, block.offset + block.width)
+    for block in output_blocks(schema, mode, numeric):
+        cols = encoded[:, block.offset:block.offset + block.width]
         if block.kind == "categorical":
-            X[:, block.column] = np.argmax(encoded[:, sl], axis=1)
-        else:
-            vals = np.clip(encoded[:, sl], 0.0, 1.0)
-            for k, j in enumerate(layout.numeric_columns):
-                lo, hi = layout.numeric_min[k], layout.numeric_max[k]
+            X[:, block.column] = np.argmax(cols, axis=1)
+        elif block.kind == "numeric":
+            vals = np.clip(cols, 0.0, 1.0)
+            for k, (j, (lo, hi)) in enumerate(numeric.items()):
                 X[:, j] = vals[:, k] * (hi - lo) + lo
-    return Table(schema, X, np.full(n, label, dtype=int))
+        elif block.kind == "mode":
+            norm = numeric[block.column]
+            modes = np.argmax(cols, axis=1)
+            alphas = np.clip(encoded[:, block.offset - 1], -1.0, 1.0)  # its alpha block
+            X[:, block.column] = alphas * ALPHA_SCALE * norm.stds[modes] + norm.means[modes]
+    return Table(schema, X, np.ones(n, dtype=int))
 
 
 def _generator_spec(input_dim, blocks):
@@ -214,49 +303,73 @@ def generator_backward_step(gen, acts, grad_out, adam):
 
 @dataclass
 class GeneratorModel:
-    FORMAT = "fingan-generator-v2"
+    """A trained oversampler of mode VANILLA, WGAN or CTGAN.
+
+    ``numeric`` maps each numeric schema column, in schema order, to its
+    (min, max) range for VANILLA and WGAN or to its ModeNormalizer for
+    CTGAN. ``stats`` holds the condition frequencies; it has no columns
+    unless the mode is CTGAN and the schema has discrete columns.
+    """
+
+    FORMAT = "fingan-generator-v3"
 
     mode: str
     schema: object
-    layout: GanLayout
+    numeric: dict
     generator: object
     latent_dim: int
+    stats: DiscreteStats
     history: dict = field(default_factory=dict)
-    discriminator: object = None
+    discriminator: object = None  # the trained critic, for inspection; not saved
 
-    def sample(self, n, seed):
-        return sample_synthetic(self, n, seed)
-
-    def sample_encoded(self, n, seed):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, self.latent_dim))
-        return forward(self.generator, z)[-1]
+    def sample(self, n, seed, condition=None):
+        return sample_synthetic(self, n, seed, condition)
 
     def to_dict(self):
         return {
             "format": self.FORMAT,
             "mode": self.mode,
             "schema": self.schema.to_dict(),
-            "layout": self.layout.to_dict(),
+            "numeric": {str(j): t.to_dict() if self.mode == CTGAN else list(t)
+                        for j, t in self.numeric.items()},
+            "frequencies": [f.tolist() for f in self.stats.frequencies],
             "latent_dim": self.latent_dim,
             "generator": nn_core.state_to_dict(self.generator),
         }
 
     @classmethod
     def from_dict(cls, d):
+        """Rebuild a saved model. Raises ValueError for another format and
+        SchemaMismatch when the mode, the numeric transforms, the condition
+        frequencies, the latent width or the network do not fit the saved
+        schema."""
         from .data_model import Schema
 
         if d.get("format") != cls.FORMAT:
             raise ValueError(f"unknown model format {d.get('format')!r}")
+        mode = d["mode"]
+        if mode not in (VANILLA, WGAN, CTGAN):
+            raise SchemaMismatch(f"unknown generator mode {mode!r}")
         schema = Schema.from_dict(d["schema"])
-        layout = GanLayout.from_dict(d["layout"])
-        num_cols = tuple(schema.numeric_indices)
-        if (layout.blocks != _layout_blocks(schema) or layout.numeric_columns != num_cols
-                or not len(layout.numeric_min) == len(layout.numeric_max) == len(num_cols)):
-            raise SchemaMismatch("saved layout does not match the saved schema")
+        saved = d["numeric"]
+        if sorted(saved) != sorted(map(str, schema.numeric_indices)):
+            raise SchemaMismatch(f"transforms for columns {sorted(saved)}, numeric "
+                                 f"columns are {schema.numeric_indices}")
+        read = ModeNormalizer.from_dict if mode == CTGAN else _range_from_dict
+        numeric = {j: read(saved[str(j)]) for j in schema.numeric_indices}
+        conditioned = schema.categorical_indices if mode == CTGAN else []
+        frequencies = [np.array(f, dtype=float) for f in d["frequencies"]]
+        if ([len(f) for f in frequencies]
+                != [len(schema.columns[j].categories) for j in conditioned]):
+            raise SchemaMismatch("saved condition frequencies do not match the schema")
+        stats = DiscreteStats(conditioned, frequencies)
+        latent_dim = d["latent_dim"]
+        if not (type(latent_dim) is int and latent_dim >= 1):
+            raise SchemaMismatch(f"latent_dim {latent_dim!r} is not a positive integer")
         gen = nn_core.state_from_dict(d["generator"])
-        check_generator(gen, d["latent_dim"], layout.blocks)
-        return cls(d["mode"], schema, layout, gen, d["latent_dim"])
+        check_generator(gen, latent_dim + stats.total_width,
+                        output_blocks(schema, mode, numeric))
+        return cls(mode, schema, numeric, gen, latent_dim, stats)
 
 
 def train_gan(minority, config):
@@ -268,10 +381,11 @@ def train_gan(minority, config):
     if config.mode == CTGAN:
         raise ValueError("train_gan trains vanilla and wgan; ctgan needs train_ctgan")
 
-    real, layout = encode_for_gan(minority)
+    real, numeric = encode_for_gan(minority)
     rng = np.random.default_rng(config.seed)
-    gen = build_generator(config.latent_dim, layout.blocks, config.seed)
-    disc = build_discriminator(layout.width, config.mode, config.seed + 1)
+    gen = build_generator(config.latent_dim, output_blocks(minority.schema, config.mode),
+                          config.seed)
+    disc = build_discriminator(real.shape[1], config.mode, config.seed + 1)
     n, size = minority.n_rows, config.batch_size
 
     def batches(rng):
@@ -285,10 +399,8 @@ def train_gan(minority, config):
 
     history = train_adversarial(gen, disc, rng, config, config.mode == WGAN,
                                 batches, draw_real)
-    model = GeneratorModel(config.mode, minority.schema, layout, gen,
-                           config.latent_dim, history=history)
-    model.discriminator = disc  # kept for inspection; not serialized
-    return model
+    return GeneratorModel(config.mode, minority.schema, numeric, gen, config.latent_dim,
+                          DiscreteStats([], []), history, disc)
 
 
 def train_adversarial(gen, critic, rng, config, wasserstein, batches, draw_real,
@@ -362,12 +474,86 @@ def train_adversarial(gen, critic, rng, config, wasserstein, batches, draw_real,
     return {"d_loss": d_hist, "g_loss": g_hist}
 
 
-def sample_synthetic(model, n, seed):
-    """Draw n schema-valid positive rows from a trained generator."""
+def draw_conditions(stats, b, rng):
+    """Batched condition draw: uniform column choice, log(1 + frequency)
+    category choice; returns (column positions in stats.columns,
+    categories, onehot matrix).
+
+    Takes the values a per-row ``rng.choice(p=...)`` loop would take from
+    the stream, in the same order: b column indices, then b uniforms, each
+    looked up in its column's cdf as ``choice`` looks it up.
+    """
+    if not stats.columns:
+        raise NoDiscreteColumns("dataset has no discrete columns to condition on")
+    cols = rng.integers(len(stats.columns), size=b)
+    uniforms = rng.random(b)
+    cats = np.empty(b, dtype=int)
+    for ci, cdf in enumerate(stats.cdfs):
+        rows = cols == ci
+        cats[rows] = cdf.searchsorted(uniforms[rows], side="right")
+    onehot = np.zeros((b, stats.total_width))
+    onehot[np.arange(b), np.asarray(stats.offsets)[cols] + cats] = 1.0
+    return cols, cats, onehot
+
+
+def _resolve_condition(model, condition):
+    """(column name or index, category level or index) -> (col idx, cat idx,
+    stats idx). NoDiscreteColumns when the model takes no condition;
+    UnknownCondition lists the discrete columns, or the column's categories,
+    when either does not resolve."""
+    if not model.stats.columns:
+        raise NoDiscreteColumns(
+            f"cannot condition a {model.mode} model: only a conditional (CTGAN) "
+            "model of a table with discrete columns takes a condition")
+    col, cat = condition
+    names = model.schema.names
+    if isinstance(col, str):
+        col = names.index(col) if col in names else None
+    if col not in model.stats.columns:
+        discrete = ", ".join(names[c] for c in model.stats.columns)
+        raise UnknownCondition(f"cannot condition on column {condition[0]!r}; "
+                               f"the discrete columns are {discrete}")
+    spec = model.schema.columns[col]
+    if isinstance(cat, str):
+        cat = spec.categories.index(cat) if cat in spec.categories else None
+    if cat is None or not 0 <= cat < len(spec.categories):
+        raise UnknownCondition(f"column {spec.name!r} has no category {condition[1]!r}; "
+                               f"its categories are {', '.join(spec.categories)}")
+    ci = model.stats.columns.index(col)
+    if model.stats.frequencies[ci][cat] == 0:
+        warnings.warn(
+            f"condition ({spec.name!r}, category {cat}) matches no training rows; "
+            "sampling without real-bucket support",
+            EmptyConditionBucketWarning,
+        )
+    return col, cat, ci
+
+
+def sample_synthetic(model, n, seed, condition=None):
+    """Draw n schema-valid positive rows from a trained generator.
+
+    A model with condition columns draws each row's condition by log
+    frequency, then the noise; ``condition`` = (column, category), by name
+    or index, instead fixes one discrete column's category in every row.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    encoded = model.sample_encoded(n, seed)
-    return decode_from_gan(encoded, model.layout, model.schema, label=1)
+    rng = np.random.default_rng(seed)
+    stats = model.stats
+    if condition is not None:
+        col, cat, ci = _resolve_condition(model, condition)
+        cond = np.zeros((n, stats.total_width))
+        cond[:, stats.offsets[ci] + cat] = 1.0
+    elif stats.columns:
+        _, _, cond = draw_conditions(stats, n, rng)
+    else:
+        cond = np.zeros((n, 0))
+    z = rng.standard_normal((n, model.latent_dim))
+    encoded = forward(model.generator, np.concatenate([z, cond], axis=1))[-1]
+    table = decode_rows(encoded, model.schema, model.mode, model.numeric)
+    if condition is not None:
+        table.X[:, col] = cat
+    return table
 
 
 def synthetic_count(train, target="parity"):

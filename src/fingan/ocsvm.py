@@ -31,7 +31,7 @@ import numpy as np
 
 from .data_model import concat_tables
 from .errors import SchemaMismatch, SolverStallWarning
-from .gan import _layout_blocks, encode_categoricals
+from .gan import VANILLA, encode_categoricals, output_blocks
 
 SIGMOID = "sigmoid"
 RBF = "rbf"
@@ -280,7 +280,7 @@ def encode_for_kernel(table, params):
     from .data_model import apply_preprocess
 
     std = apply_preprocess(table, params, "forward")
-    blocks = _layout_blocks(table.schema)
+    blocks = output_blocks(table.schema, VANILLA)
     width = sum(b.width for b in blocks)
     out = encode_categoricals(std, blocks, width)
     numeric = table.schema.numeric_indices

@@ -27,14 +27,7 @@ from fingan.classifiers import (
     svm_objective,
 )
 import fingan.pipeline as pipeline
-from fingan.ctgan import (
-    DiscreteStats,
-    _sample_cond_batch,
-    decode_continuous,
-    encode_continuous_batch,
-    fit_mode_normalizer,
-    sample_ctgan,
-)
+from fingan.ctgan import decode_continuous, encode_continuous_batch, fit_mode_normalizer
 from fingan.data_model import Schema, load_csv, stratified_holdout, stratified_kfold
 from fingan.evaluation import (
     ConfusionCounts,
@@ -45,7 +38,7 @@ from fingan.evaluation import (
     t_test_auc,
 )
 from fingan.fixtures import blobs_imbalanced, mixed_imbalanced, table_to_csv
-from fingan.gan import sample_synthetic
+from fingan.gan import DiscreteStats, draw_conditions, sample_synthetic
 from fingan.ocsvm import KernelSpec, fit_ocsvm, kernel_matrix
 from fingan.pipeline import (
     BalancerSettings,
@@ -138,7 +131,7 @@ def test_gan_wgan_bimodal(wgan_models, bimodal_table):
 
 def test_gan_ctgan_bimodal(ctgan_models, bimodal_table):
     _moments_ok("CTGAN", bimodal_table,
-                lambda s: sample_ctgan(ctgan_models[s], 2000, seed=100 + s))
+                lambda s: sample_synthetic(ctgan_models[s], 2000, seed=100 + s))
 
 
 # --- 1c. CTGAN normalizer -----------------------------------------------
@@ -159,10 +152,10 @@ def test_ctgan_normalizer():
     report("CTGAN normalizer: encode/decode round trip <= 1e-6",
            worst <= 1e-6, f"worst abs err {worst:.2e}")
 
-    stats = DiscreteStats([0], [np.array([999.0, 1.0])], [0])
+    stats = DiscreteStats([0], [np.array([999.0, 1.0])])
     expected = math.log(2) / (math.log(2) + math.log(1000))
     rng = np.random.default_rng(7)
-    hits = sum(_sample_cond_batch(stats, 1, rng)[1][0] == 1
+    hits = sum(draw_conditions(stats, 1, rng)[1][0] == 1
                for _ in range(100_000))
     got = hits / 100_000
     report("CTGAN condvec: log-frequency Monte Carlo within +/-0.01 at 100k draws",

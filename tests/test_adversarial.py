@@ -15,25 +15,25 @@ import pytest
 
 from fingan import nn_core
 from fingan.ctgan import (
-    CtganModel,
-    _build_ctgan_layout,
     _condition_buckets,
     _condition_loss,
     _encode_table,
     _sample_bucket_rows,
-    _sample_cond_batch,
     build_discrete_stats,
     fit_mode_normalizer,
-    sample_ctgan,
     train_ctgan,
 )
 from fingan.fixtures import bimodal_minority, mixed_imbalanced, rare_category_minority
 from fingan.gan import (
+    CTGAN,
     GENERATOR_HIDDEN_WIDTHS,
+    DiscreteStats,
     GanConfig,
     GeneratorModel,
     build_discriminator,
+    draw_conditions,
     encode_for_gan,
+    output_blocks,
     train_gan,
 )
 from fingan.nn_core import (
@@ -166,13 +166,13 @@ def oracle_wgan_gen_step(disc, trunk, heads, blocks, b, config, rng):
 
 
 def oracle_train_gan(minority, config):
-    real, layout = encode_for_gan(minority)
-    blocks = layout.blocks
+    real, numeric = encode_for_gan(minority)
+    blocks = output_blocks(minority.schema, config.mode)
     rng = np.random.default_rng(config.seed)
     trunk, heads = oracle_generator(
         config.latent_dim, blocks, config.seed,
         lambda b: nn_core.SOFTMAX if b.kind == "categorical" else nn_core.SIGMOID)
-    disc = build_discriminator(layout.width, config.mode, config.seed + 1)
+    disc = build_discriminator(real.shape[1], config.mode, config.seed + 1)
     d_hist, g_hist = [], []
     for _ in range(config.epochs):
         d_losses, g_losses = [], []
@@ -193,11 +193,9 @@ def oracle_train_gan(minority, config):
             g_losses.append(g_loss)
         d_hist.append(float(np.mean(d_losses)))
         g_hist.append(float(np.mean(g_losses)))
-    model = GeneratorModel(config.mode, minority.schema, layout, fuse(trunk, heads),
-                           config.latent_dim,
-                           history={"d_loss": d_hist, "g_loss": g_hist})
-    model.discriminator = disc
-    return model
+    return GeneratorModel(config.mode, minority.schema, numeric, fuse(trunk, heads),
+                          config.latent_dim, DiscreteStats([], []),
+                          history={"d_loss": d_hist, "g_loss": g_hist}, discriminator=disc)
 
 
 def oracle_train_ctgan(minority, config):
@@ -207,8 +205,9 @@ def oracle_train_ctgan(minority, config):
     normalizers = dict(zip(numeric, fit_mode_normalizer(
         minority.X[:, numeric], config.max_modes,
         [config.seed + j for j in numeric])))
-    blocks, enc_width = _build_ctgan_layout(schema, normalizers)
-    real = _encode_table(minority, normalizers, blocks, enc_width, rng)
+    blocks = output_blocks(schema, CTGAN, normalizers)
+    enc_width = sum(b.width for b in blocks)
+    real = _encode_table(minority, normalizers, blocks, rng)
 
     stats = build_discrete_stats(minority)
     cond_dim = stats.total_width if stats.columns else 0
@@ -234,7 +233,7 @@ def oracle_train_ctgan(minority, config):
             c_loss = 0.0
             for _ in range(config.critic_steps):
                 if conditioned:
-                    cols, cats, cond = _sample_cond_batch(stats, b, rng)
+                    cols, cats, cond = draw_conditions(stats, b, rng)
                     ridx = _sample_bucket_rows(buckets, offsets[cols] + cats,
                                                len(real), rng)
                 else:
@@ -253,7 +252,7 @@ def oracle_train_ctgan(minority, config):
                 clip_weights(critic, config.wgan_clip)
 
             if conditioned:
-                cols, cats, cond = _sample_cond_batch(stats, b, rng)
+                cols, cats, cond = draw_conditions(stats, b, rng)
             else:
                 cond = np.zeros((b, 0))
             z = rng.standard_normal((b, config.latent_dim))
@@ -271,10 +270,9 @@ def oracle_train_ctgan(minority, config):
             g_losses.append(g_loss)
         c_hist.append(float(np.mean(c_losses)))
         g_hist.append(float(np.mean(g_losses)))
-    model = CtganModel(schema, normalizers, blocks, enc_width, fuse(trunk, heads),
-                       config.latent_dim, stats,
-                       history={"d_loss": c_hist, "g_loss": g_hist})
-    return model, critic
+    return GeneratorModel(CTGAN, schema, normalizers, fuse(trunk, heads),
+                          config.latent_dim, stats,
+                          history={"d_loss": c_hist, "g_loss": g_hist}, discriminator=critic)
 
 
 # --- Comparisons -------------------------------------------------------------
@@ -318,17 +316,10 @@ def test_gan_matches_separate_steps(mode):
     mixed_imbalanced(5, 50, seed=1).positives(),  # two numerics, one discrete
     bimodal_minority(50, seed=1),  # continuous only: no conditions
 ], ids=["conditioned", "conditioned_mixed", "continuous_only"])
-def test_ctgan_matches_inline_loop(table, monkeypatch):
-    critics = []  # CtganModel keeps no critic; catch the one train_ctgan builds
-
-    def build_and_keep(*args):
-        critics.append(build_discriminator(*args))
-        return critics[-1]
-
-    monkeypatch.setattr("fingan.ctgan.build_discriminator", build_and_keep)
+def test_ctgan_matches_inline_loop(table):
     config = GanConfig(mode="ctgan", epochs=2, batch_size=16, max_modes=3, seed=5)
     model = train_ctgan(table, config)
-    oracle, oracle_critic = oracle_train_ctgan(table, config)
+    oracle = oracle_train_ctgan(table, config)
     assert_same_generator(model, oracle)
-    assert_same_network(critics[0], oracle_critic)
-    assert_close(sample_ctgan(model, 40, seed=9).X, sample_ctgan(oracle, 40, seed=9).X)
+    assert_same_network(model.discriminator, oracle.discriminator)
+    assert_close(model.sample(40, seed=9).X, oracle.sample(40, seed=9).X)

@@ -7,24 +7,26 @@ from fingan.ctgan import (
     EM_MAX_ITERS,
     EM_TOL,
     WEIGHT_PRUNE,
-    CtganModel,
-    DiscreteStats,
-    ModeNormalizer,
     _condition_buckets,
     _condition_loss,
     _fit_em,
     _kmeanspp_centers,
     _sample_bucket_rows,
-    _sample_cond_batch,
     _sigma_floor,
     decode_continuous,
     encode_continuous_batch,
     fit_mode_normalizer,
-    sample_ctgan,
     train_ctgan,
 )
 from fingan.errors import InvalidOneHot, NoDiscreteColumns, SchemaMismatch
-from fingan.gan import GanConfig
+from fingan.gan import (
+    DiscreteStats,
+    GanConfig,
+    GeneratorModel,
+    ModeNormalizer,
+    draw_conditions,
+    sample_synthetic,
+)
 from fingan.nn_core import PROB_EPS
 from fingan.fixtures import rare_category_minority
 
@@ -104,57 +106,56 @@ class TestContinuousCoding:
 
 
 class TestCondVec:
-    """One condition per draw: _sample_cond_batch at b = 1."""
+    """One condition per draw: draw_conditions at b = 1."""
 
     def test_single_category_always_hot(self):
-        stats = DiscreteStats([0], [np.array([12.0])], [0])
+        stats = DiscreteStats([0], [np.array([12.0])])
         for seed in range(5):
-            _, _, onehot = _sample_cond_batch(stats, 1, np.random.default_rng(seed))
+            _, _, onehot = draw_conditions(stats, 1, np.random.default_rng(seed))
             np.testing.assert_array_equal(onehot, [[1.0]])
 
     def test_no_discrete_columns(self):
         with pytest.raises(NoDiscreteColumns):
-            _sample_cond_batch(DiscreteStats([], [], []), 1, np.random.default_rng(0))
+            draw_conditions(DiscreteStats([], []), 1, np.random.default_rng(0))
 
     def test_log_frequency_closed_form(self):
         # frequencies (999, 1): rare picked with prob log(2)/(log(2)+log(1000))
-        stats = DiscreteStats([0], [np.array([999.0, 1.0])], [0])
+        stats = DiscreteStats([0], [np.array([999.0, 1.0])])
         expected = np.log(2) / (np.log(2) + np.log(1000))
         rng = np.random.default_rng(7)
         draws = 100_000
-        hits = sum(_sample_cond_batch(stats, 1, rng)[1][0] == 1 for _ in range(draws))
+        hits = sum(draw_conditions(stats, 1, rng)[1][0] == 1 for _ in range(draws))
         assert hits / draws == pytest.approx(expected, abs=0.01)
 
     def test_column_choice_uniform(self):
         stats = DiscreteStats([0, 1, 2],
-                              [np.array([5.0, 5.0]), np.array([100.0]), np.array([1.0, 9.0])],
-                              [0, 2, 3])
+                              [np.array([5.0, 5.0]), np.array([100.0]), np.array([1.0, 9.0])])
         rng = np.random.default_rng(11)
         draws = 100_000
         counts = np.zeros(3)
         for _ in range(draws):
-            counts[_sample_cond_batch(stats, 1, rng)[0][0]] += 1
+            counts[draw_conditions(stats, 1, rng)[0][0]] += 1
         np.testing.assert_allclose(counts / draws, np.full(3, 1 / 3), atol=0.02)
 
 
 class TestTrainCtgan:
     def test_rare_category_not_collapsed(self, conditioned_ctgan):
-        out = sample_ctgan(conditioned_ctgan, 10_000, seed=3)
+        out = sample_synthetic(conditioned_ctgan, 10_000, seed=3)
         rare_share = (out.X[:, 1] == 1.0).mean()
         assert rare_share >= 0.01
 
     def test_condition_compliance(self, conditioned_ctgan):
-        out = sample_ctgan(conditioned_ctgan, 500, seed=4, condition=("group", "rare"))
+        out = sample_synthetic(conditioned_ctgan, 500, seed=4, condition=("group", "rare"))
         assert (out.X[:, 1] == 1.0).mean() == 1.0  # hard-enforced at decode
 
     def test_sample_labels_and_count(self, conditioned_ctgan):
-        out = sample_ctgan(conditioned_ctgan, 1500, seed=0)
+        out = sample_synthetic(conditioned_ctgan, 1500, seed=0)
         assert out.n_rows == 1500
         assert np.all(out.y == 1)
 
     def test_schema_validity_and_determinism(self, conditioned_ctgan):
-        a = sample_ctgan(conditioned_ctgan, 200, seed=9)
-        b = sample_ctgan(conditioned_ctgan, 200, seed=9)
+        a = sample_synthetic(conditioned_ctgan, 200, seed=9)
+        b = sample_synthetic(conditioned_ctgan, 200, seed=9)
         np.testing.assert_array_equal(a.X, b.X)
         assert set(np.unique(a.X[:, 1])) <= {0.0, 1.0}
         assert np.all(np.isfinite(a.X))
@@ -173,15 +174,15 @@ class TestTrainCtgan:
             train_ctgan(bad, GanConfig(mode="ctgan", epochs=1))
 
     def test_serialization_round_trip(self, conditioned_ctgan):
-        restored = CtganModel.from_dict(conditioned_ctgan.to_dict())
-        a = sample_ctgan(conditioned_ctgan, 50, seed=2)
-        b = sample_ctgan(restored, 50, seed=2)
+        restored = GeneratorModel.from_dict(conditioned_ctgan.to_dict())
+        a = sample_synthetic(conditioned_ctgan, 50, seed=2)
+        b = sample_synthetic(restored, 50, seed=2)
         np.testing.assert_array_equal(a.X, b.X)
 
     def test_continuous_only_trains_unconditioned(self, bimodal_table):
         model = train_ctgan(bimodal_table.subset(np.arange(64)),
                             GanConfig(mode="ctgan", epochs=2, batch_size=32, seed=0))
-        out = sample_ctgan(model, 20, seed=1)
+        out = sample_synthetic(model, 20, seed=1)
         assert out.n_rows == 20
 
 
@@ -307,7 +308,7 @@ def discrete_table(seed, n=50):
     ])
     freqs = [np.bincount(X[:, 0].astype(int), minlength=4).astype(float),
              np.array([float(n)]), np.zeros(3)]
-    return X, DiscreteStats([0, 1, 2], freqs, [0, 4, 5])
+    return X, DiscreteStats([0, 1, 2], freqs)
 
 
 class TestBatchedAgainstPerRow:
@@ -315,10 +316,10 @@ class TestBatchedAgainstPerRow:
     def test_condition_draw(self, seed, size=37):
         _, stats = discrete_table(seed)
         stats.frequencies[0][seed % 4] = 0.0  # a category never drawn
-        stats = DiscreteStats(stats.columns, stats.frequencies, stats.offsets)
+        stats = DiscreteStats(stats.columns, stats.frequencies)
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         for want, got in zip(oracle_cond_batch(stats, size, a),
-                             _sample_cond_batch(stats, size, b)):
+                             draw_conditions(stats, size, b)):
             np.testing.assert_array_equal(got, want)
         assert a.random() == b.random()
 
@@ -330,7 +331,7 @@ class TestBatchedAgainstPerRow:
     def test_bucket_draw(self, seed):
         X, stats = discrete_table(seed)
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        cols, cats, _ = _sample_cond_batch(stats, 64, np.random.default_rng(seed + 1))
+        cols, cats, _ = draw_conditions(stats, 64, np.random.default_rng(seed + 1))
         assert (cols == 2).any()  # the empty buckets are reached
         want = oracle_bucket_rows(X, stats, cols, cats, len(X), a)
         got = _sample_bucket_rows(_condition_buckets(X, stats),
@@ -390,9 +391,9 @@ class TestBatchedAgainstPerRow:
 
     def test_invalid_frequencies_rejected(self):
         with pytest.raises(ValueError):
-            DiscreteStats([0], [np.array([3.0, -0.5])], [0])
+            DiscreteStats([0], [np.array([3.0, -0.5])])
         with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-            DiscreteStats([0], [np.array([1.0, np.inf])], [0])
+            DiscreteStats([0], [np.array([1.0, np.inf])])
 
 
 def test_truncated_head_rejected_on_load(conditioned_ctgan):
@@ -407,17 +408,17 @@ def test_truncated_head_rejected_on_load(conditioned_ctgan):
     weights["data"] = weights["data"][:-fan_in]
     d["generator"]["biases"][-1].pop()
     with pytest.raises(SchemaMismatch):
-        CtganModel.from_dict(d)
+        GeneratorModel.from_dict(d)
 
 
 def test_v1_format_rejected(conditioned_ctgan):
     d = dict(conditioned_ctgan.to_dict(), format="fingan-ctgan-v1")
     with pytest.raises(ValueError, match="unknown model format"):
-        CtganModel.from_dict(d)
+        GeneratorModel.from_dict(d)
 
 
 def _first_normalizer(d):
-    return next(iter(d["normalizers"].values()))
+    return next(iter(d["numeric"].values()))
 
 
 def _drop_last_mode(d):
@@ -427,19 +428,18 @@ def _drop_last_mode(d):
 
 
 @pytest.mark.parametrize("tamper", [
-    lambda d: d["blocks"].reverse(),
     _drop_last_mode,
     lambda d: _first_normalizer(d)["means"].pop(),
-    lambda d: d["normalizers"].clear(),
-    lambda d: d["stats"].update(offsets=[o + 1 for o in d["stats"]["offsets"]]),
-    lambda d: d.update(enc_width=d["enc_width"] + 1),
+    lambda d: d["numeric"].clear(),
+    lambda d: d["frequencies"][0].pop(),
     lambda d: d.update(latent_dim=d["latent_dim"] + 1),
+    lambda d: d.update(latent_dim=float(d["latent_dim"])),
     lambda d: d["generator"]["layers"][-1]["activation"].reverse(),
-], ids=["blocks_reversed", "one_mode_short", "one_mean_short", "no_normalizers",
-        "stats_offsets", "enc_width", "latent_dim", "heads_reversed"])
+], ids=["one_mode_short", "one_mean_short", "no_normalizers", "one_frequency_short",
+        "latent_dim", "latent_dim_float", "heads_reversed"])
 def test_mismatched_model_rejected_on_load(conditioned_ctgan, tamper):
     d = json.loads(json.dumps(conditioned_ctgan.to_dict()))
-    CtganModel.from_dict(d)
+    GeneratorModel.from_dict(d)
     tamper(d)
     with pytest.raises(SchemaMismatch):
-        CtganModel.from_dict(d)
+        GeneratorModel.from_dict(d)

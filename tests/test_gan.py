@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import GAN_SEEDS
+from fingan.ctgan import train_ctgan
 from fingan.data_model import CATEGORICAL, NUMERIC, ColumnSpec, Schema, Table
 from fingan.errors import EmptyMinority, SchemaMismatch
 from fingan.fixtures import bimodal_minority, mixed_imbalanced
 from fingan.gan import (
+    VANILLA,
     GanConfig,
     GeneratorModel,
     balance_by_oversampling,
-    decode_from_gan,
+    decode_rows,
     encode_for_gan,
     sample_synthetic,
     train_gan,
@@ -28,7 +30,7 @@ class TestEncoding:
         schema = Schema((ColumnSpec("c", CATEGORICAL, ("a", "b", "c")),),
                         "t", "p", ("n", "p"))
         table = Table(schema, np.array([[1.0]]), np.array([1]))
-        enc, layout = encode_for_gan(table)
+        enc, _ = encode_for_gan(table)
         np.testing.assert_array_equal(enc, [[0.0, 1.0, 0.0]])
 
     def test_numeric_midpoint(self):
@@ -39,8 +41,8 @@ class TestEncoding:
 
     def test_round_trip(self):
         table = minority_mixed(25, seed=3)
-        enc, layout = encode_for_gan(table)
-        back = decode_from_gan(enc, layout, table.schema)
+        enc, numeric = encode_for_gan(table)
+        back = decode_rows(enc, table.schema, VANILLA, numeric)
         np.testing.assert_array_equal(back.X[:, 2], table.X[:, 2])  # categorical exact
         np.testing.assert_allclose(back.X[:, :2], table.X[:, :2], rtol=1e-9, atol=1e-12)
 
@@ -168,8 +170,9 @@ class TestSampling:
         GeneratorModel.from_dict(json.loads(saved))
         # the output layer's segments are the per-block heads
         for tamper in (lambda d: d["generator"]["layers"][-1]["activation"].reverse(),
-                       lambda d: d["layout"]["blocks"].reverse(),
-                       lambda d: d["layout"]["numeric_min"].pop()):
+                       lambda d: d["numeric"].popitem(),
+                       lambda d: d["numeric"]["0"].pop(),
+                       lambda d: d.update(latent_dim=d["latent_dim"] + 1)):
             d = json.loads(saved)
             tamper(d)
             with pytest.raises(SchemaMismatch):
@@ -181,6 +184,73 @@ class TestSampling:
         d = dict(model.to_dict(), format="fingan-generator-v1")
         with pytest.raises(ValueError, match="unknown model format"):
             GeneratorModel.from_dict(d)
+
+    @pytest.mark.parametrize("fmt", ["fingan-generator-v2", "fingan-ctgan-v2"])
+    def test_v2_format_rejected(self, fmt):
+        # v2 saved the output layout beside the schema; v3 derives it
+        model = train_gan(minority_mixed(30), GanConfig(epochs=1, batch_size=16))
+        d = dict(model.to_dict(), format=fmt)
+        with pytest.raises(ValueError, match="unknown model format"):
+            GeneratorModel.from_dict(d)
+
+
+@pytest.fixture(scope="module")
+def saved_models():
+    """The JSON of a one-epoch WGAN and CTGAN on a mixed table, by mode."""
+    table = minority_mixed(30)
+    return {mode: json.dumps(train(table, GanConfig(mode=mode, epochs=1,
+                                                    batch_size=16)).to_dict())
+            for mode, train in (("wgan", train_gan), ("ctgan", train_ctgan))}
+
+
+def _first_transform(d):
+    return d["numeric"]["0"]
+
+
+def _set_range(end, value):
+    def tamper(d):
+        _first_transform(d)[end] = value
+    return tamper
+
+
+def _set_first(key, value):
+    def tamper(d):
+        _first_transform(d)[key][0] = value
+    return tamper
+
+
+def _shift_first_weight(d):
+    _first_transform(d)["weights"][0] += 1e-6
+
+
+TRANSFORM_TAMPERS = {
+    "nan_min": ("wgan", _set_range(0, float("nan"))),
+    "inf_max": ("wgan", _set_range(1, float("inf"))),
+    "min_above_max": ("wgan", lambda d: _first_transform(d).reverse()),
+    "negative_std": ("ctgan", _set_first("stds", -1.0)),
+    "zero_std": ("ctgan", _set_first("stds", 0.0)),
+    "nan_mean": ("ctgan", _set_first("means", float("nan"))),
+    "nan_weight": ("ctgan", _set_first("weights", float("nan"))),
+    "weights_off_one": ("ctgan", _shift_first_weight),
+    "unknown_mode": ("wgan", lambda d: d.update(mode="smote")),
+    "normalizer_in_gan_file": ("wgan", lambda d: d["numeric"].update(
+        {"0": {"weights": [1.0], "means": [0.0], "stds": [1.0]}})),
+    "range_in_ctgan_file": ("ctgan", lambda d: d["numeric"].update({"0": [0.0, 1.0]})),
+    "gan_file_as_ctgan": ("wgan", lambda d: d.update(mode="ctgan")),
+    "ctgan_file_as_wgan": ("ctgan", lambda d: d.update(mode="wgan")),
+}
+
+
+@pytest.mark.parametrize("case", TRANSFORM_TAMPERS)
+def test_invalid_numeric_transform_rejected_on_load(saved_models, case):
+    # a tampered transform would otherwise load and decode non-finite or
+    # out-of-range rows
+    mode, tamper = TRANSFORM_TAMPERS[case]
+    GeneratorModel.from_dict(json.loads(saved_models[mode]))
+    d = json.loads(saved_models[mode])
+    tamper(d)
+    with pytest.raises(SchemaMismatch):
+        GeneratorModel.from_dict(json.loads(json.dumps(d)))
 
 
 class TestBalance:

@@ -440,3 +440,51 @@ class TestRunKfold:
         assert len(seen) == 3
         for trained_rows, (_, valid) in zip(seen, folds):
             assert not set(trained_rows) & set(row_multiset(valid))
+
+
+@pytest.mark.parametrize("oversampler", ["gan", "ctgan"])
+@pytest.mark.parametrize("split", [{"mode": "holdout", "train_fraction": 0.75},
+                                   {"mode": "kfold", "k": 3}], ids=["holdout", "kfold3"])
+def test_balancing_sees_training_rows_only(tmp_path, monkeypatch, split, oversampler):
+    # preprocessing, OCSVM undersampling and oversampler training must each
+    # receive rows of their own split's training side and no validation row
+    table = mixed_imbalanced(60, 24, seed=6)
+    assert len(set(row_multiset(table))) == table.n_rows  # rows are identifiable
+    config = make_config(tmp_path, table, split=split,
+                         balancer={"oversampler": oversampler, "epochs": 1,
+                                   "batch_size": 8, "max_modes": 2,
+                                   "ocsvm": {"enabled": True}})
+    splits, seen = [], {}
+
+    def record_splits(name):
+        original = getattr(pipeline, name)
+
+        def spy(*args):
+            out = original(*args)
+            splits.extend([out] if name == "stratified_holdout" else out)
+            return out
+        monkeypatch.setattr(pipeline, name, spy)
+
+    def record_rows(name):
+        original = getattr(pipeline, name)
+
+        def spy(table, *args):
+            seen.setdefault(name, []).append(set(row_multiset(table)))
+            return original(table, *args)
+        monkeypatch.setattr(pipeline, name, spy)
+
+    record_splits("stratified_holdout")
+    record_splits("stratified_kfold")
+    trainer = "train_ctgan" if oversampler == "ctgan" else "train_gan"
+    for name in ("fit_preprocess", "undersample_majority", trainer):
+        record_rows(name)
+    run_experiment(config)
+
+    assert len(splits) == (1 if split["mode"] == "holdout" else 3)
+    assert sorted(seen) == sorted(["fit_preprocess", "undersample_majority", trainer])
+    for name, per_split in seen.items():
+        assert len(per_split) == len(splits), name
+        for rows, (train, valid) in zip(per_split, splits):
+            assert rows, name
+            assert rows <= set(row_multiset(train)), name
+            assert not rows & set(row_multiset(valid)), name
