@@ -17,6 +17,9 @@ from .errors import SchemaMismatch
 from .nn_core import (AdamConfig, Layer, NetworkSpec, adam_step, backward, bce_loss, forward,
                       init_network, sigmoid)
 
+MLP_HIDDEN_WIDTH = 16
+MLP_LEARNING_RATE = 0.001
+
 
 @dataclass
 class TreeParams:
@@ -47,10 +50,8 @@ class ForestParams:
 
 @dataclass
 class MlpClfParams:
-    hidden_width: int = 16
     epochs: int = 200
     batch_size: int = 32
-    learning_rate: float = 0.001
     seed: int = 0
 
     def __post_init__(self):
@@ -292,12 +293,12 @@ def fit_mlp_classifier(X, y, params=None):
         raise ValueError("both classes must be present")
     params = params or MlpClfParams()
     spec = NetworkSpec(X.shape[1], (
-        Layer(params.hidden_width, nn_core.RELU),
-        Layer(params.hidden_width, nn_core.RELU),
+        Layer(MLP_HIDDEN_WIDTH, nn_core.RELU),
+        Layer(MLP_HIDDEN_WIDTH, nn_core.RELU),
         Layer(1, nn_core.SIGMOID),
     ))
     net = init_network(spec, params.seed)
-    adam = AdamConfig(learning_rate=params.learning_rate)
+    adam = AdamConfig(learning_rate=MLP_LEARNING_RATE)
     rng = np.random.default_rng(params.seed)
     n = len(y)
     for _ in range(params.epochs):

@@ -4,8 +4,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .ctgan import train_ctgan
 from .data_model import Schema, fit_preprocess, load_csv

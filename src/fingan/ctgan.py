@@ -1,7 +1,8 @@
 """Conditional tabular GAN with per-column Gaussian-mixture normalization.
 
-Continuous columns are represented as (alpha, mode one-hot) pairs where alpha
-is the offset from the sampled mixture component's mean in units of 4 sigma.
+``fit_mode_normalizer`` fits each continuous column's mixture; the column
+is then encoded (``gan.encode_rows``) as an alpha, the offset from a sampled
+mixture component's mean in units of 4 sigma, and that component's one-hot.
 Discrete columns are one-hot. Training conditions the generator on a
 (column, category) one-hot drawn by log-frequency sampling, and real batches
 are drawn from rows matching the sampled condition so rare categories stay
@@ -16,9 +17,8 @@ a ``gan.GeneratorModel`` of mode CTGAN, loaded and sampled as GAN and WGAN are.
 import numpy as np
 
 from . import nn_core
-from .errors import EmptyMinority, InvalidOneHot
+from .errors import EmptyMinority
 from .gan import (
-    ALPHA_SCALE,
     CTGAN,
     MAX_MODES,
     WGAN,
@@ -28,7 +28,7 @@ from .gan import (
     build_discriminator,
     build_generator,
     draw_conditions,
-    encode_categoricals,
+    encode_rows,
     output_blocks,
     train_adversarial,
 )
@@ -160,57 +160,12 @@ def _fit_em(values, means, stds, floors):
     return weights, means, stds, histories
 
 
-def _mode_posteriors(values, norm):
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    pdf = np.exp(-0.5 * ((values[:, None] - norm.means[None, :]) / norm.stds[None, :]) ** 2)
-    pdf /= norm.stds[None, :]
-    post = norm.weights[None, :] * pdf
-    total = post.sum(axis=1, keepdims=True)
-    uniform = np.full_like(post, 1.0 / norm.n_modes)
-    return np.where(total > 0, post / np.maximum(total, 1e-300), uniform)
-
-
-def encode_continuous_batch(values, norm, rng):
-    """Sample a mode per value; return (alphas, one-hots over modes)."""
-    post = _mode_posteriors(values, norm)
-    cum = np.cumsum(post, axis=1)
-    draws = rng.random((len(values), 1))
-    modes = (draws > cum).sum(axis=1)
-    modes = np.minimum(modes, norm.n_modes - 1)
-    alphas = (values - norm.means[modes]) / (ALPHA_SCALE * norm.stds[modes])
-    alphas = np.clip(alphas, -1.0, 1.0)
-    onehots = np.zeros((len(values), norm.n_modes))
-    onehots[np.arange(len(values)), modes] = 1.0
-    return alphas, onehots
-
-
-def decode_continuous(alpha, mode_onehot, norm):
-    onehot = np.asarray(mode_onehot, dtype=float)
-    hot = np.flatnonzero(onehot == 1.0)
-    if len(hot) != 1 or not np.all((onehot == 0.0) | (onehot == 1.0)):
-        raise InvalidOneHot(f"expected exactly one hot bit, got {onehot}")
-    k = hot[0]
-    return float(alpha * ALPHA_SCALE * norm.stds[k] + norm.means[k])
-
-
 def build_discrete_stats(table):
     cols = table.schema.categorical_indices
     freqs = [np.bincount(table.X[:, j].astype(int),
                          minlength=len(table.schema.columns[j].categories)).astype(float)
              for j in cols]
     return DiscreteStats(list(cols), freqs)
-
-
-def _encode_table(table, normalizers, blocks, rng):
-    out = encode_categoricals(table, blocks, sum(b.width for b in blocks))
-    # each mode block follows its alpha; both come from the same draw
-    for block in blocks:
-        if block.kind == "mode":
-            alphas, onehots = encode_continuous_batch(
-                table.X[:, block.column], normalizers[block.column], rng)
-            out[:, block.offset - 1] = alphas
-            out[:, block.offset:block.offset + block.width] = onehots
-    return out
 
 
 def _condition_buckets(X, stats):
@@ -270,7 +225,7 @@ def train_ctgan(minority, config):
         minority.X[:, numeric], config.max_modes,
         [config.seed + j for j in numeric])))
     blocks = output_blocks(schema, CTGAN, normalizers)
-    real = _encode_table(minority, normalizers, blocks, rng)
+    real = encode_rows(minority, CTGAN, normalizers, rng)
 
     stats = build_discrete_stats(minority)
     cond_dim = stats.total_width
@@ -280,9 +235,8 @@ def train_ctgan(minority, config):
     if cond_dim:
         buckets = _condition_buckets(minority.X, stats)
         offsets = np.asarray(stats.offsets)
-        # the categorical blocks end the encoding in condition order: the
-        # condition penalty's column is the condition position shifted
-        categorical_start = real.shape[1] - cond_dim
+        # categorical blocks come in condition order; the penalty scores offset + category
+        penalty_offsets = np.array([b.offset for b in blocks if b.kind == "categorical"])
 
         def draw_real(b, rng):
             cols, cats, cond = draw_conditions(stats, b, rng)
@@ -291,7 +245,7 @@ def train_ctgan(minority, config):
 
         def draw_condition(b, rng):
             cols, cats, cond = draw_conditions(stats, b, rng)
-            return cond, categorical_start + offsets[cols] + cats
+            return cond, penalty_offsets[cols] + cats
 
         condition_loss = _condition_loss
     else:

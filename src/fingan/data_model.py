@@ -8,7 +8,7 @@ kept separately as 0/1 with 1 = the minority/positive class.
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -81,10 +81,6 @@ class EmptyMinority(FinganError):
     pass
 
 
-class InvalidOneHot(FinganError):
-    pass
-
-
 class NoDiscreteColumns(FinganError):
     pass
 

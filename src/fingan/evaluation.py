@@ -6,7 +6,7 @@ exposed separately as `roc_auc`.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

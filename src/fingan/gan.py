@@ -5,11 +5,13 @@ layers, then one output layer with an activation segment per output block
 (``output_blocks``). GAN and WGAN encode a row as a softmax block per
 categorical column and one sigmoid block over all numeric columns, min-max
 scaled into [0, 1] (apart from the z-score standardization of classifier
-inputs); CTGAN's encoding is described in ``fingan.ctgan``. A trained model
-of any mode is one ``GeneratorModel``, whose file derives the output layout
-from the schema and the numeric transforms on load. All three train with
-``train_adversarial``; the discriminator is a fixed stack of leaky-ReLU
-layers ending in a sigmoid (vanilla) or an unbounded score (WGAN, CTGAN).
+inputs); CTGAN's encoding is described in ``fingan.ctgan``. ``encode_rows``
+writes every block of these encodings and ``decode_rows`` inverts it. A
+trained model of any mode is one ``GeneratorModel``, whose file derives the
+output layout from the schema and the numeric transforms on load. All three
+train with ``train_adversarial``; the discriminator is a fixed stack of
+leaky-ReLU layers ending in a sigmoid (vanilla) or an unbounded score (WGAN,
+CTGAN).
 """
 
 import math
@@ -50,6 +52,8 @@ ALPHA_SCALE = 4.0  # a CTGAN alpha is the offset from its mode's mean in 4-sigma
 # Generator.choice's tolerance on the sum of p for float64 probabilities
 CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 WEIGHT_SUM_TOL = 1e-9  # a loaded mode normalizer's weights sum to 1 within this
+WGAN_CLIP = 0.01  # the WGAN paper's weight clip c (Arjovsky et al., 2017)
+CRITIC_STEPS = 5  # and its critic updates per generator update, n_critic
 
 DISCRIMINATOR_WIDTHS = (128, 64, 32, 16, 8)
 GENERATOR_HIDDEN_WIDTHS = (64, 128)
@@ -105,6 +109,30 @@ class ModeNormalizer:
             raise SchemaMismatch(f"normalizer with weights {weights}, means {means} "
                                  f"and stds {stds} is not a mixture")
         return cls(weights, means, stds)
+
+
+def _mode_posteriors(values, norm):
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    pdf = np.exp(-0.5 * ((values[:, None] - norm.means[None, :]) / norm.stds[None, :]) ** 2)
+    pdf /= norm.stds[None, :]
+    post = norm.weights[None, :] * pdf
+    total = post.sum(axis=1, keepdims=True)
+    uniform = np.full_like(post, 1.0 / norm.n_modes)
+    return np.where(total > 0, post / np.maximum(total, 1e-300), uniform)
+
+
+def encode_continuous_batch(values, norm, rng):
+    """Sample a mode per value; return (alphas, one-hots over modes)."""
+    post = _mode_posteriors(values, norm)
+    cum = np.cumsum(post, axis=1)
+    draws = rng.random((len(values), 1))
+    modes = (draws > cum).sum(axis=1)
+    modes = np.minimum(modes, norm.n_modes - 1)
+    alphas = (values - norm.means[modes]) / (ALPHA_SCALE * norm.stds[modes])
+    alphas = np.clip(alphas, -1.0, 1.0)
+    onehots = np.zeros((len(values), norm.n_modes))
+    onehots[np.arange(len(values)), modes] = 1.0
+    return alphas, onehots
 
 
 def _range_from_dict(r):
@@ -165,18 +193,14 @@ class GanConfig:
     latent_dim: int = 64
     max_modes: int = MAX_MODES  # Gaussian-mixture modes per CTGAN numeric column
     adam: AdamConfig = field(default_factory=lambda: AdamConfig(learning_rate=2e-4))
-    wgan_clip: float = 0.01
-    critic_steps: int = 5
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in (VANILLA, WGAN, CTGAN):
             raise ValueError(f"unknown GAN mode {self.mode!r}")
-        for name in ("epochs", "batch_size", "latent_dim", "max_modes", "critic_steps"):
+        for name in ("epochs", "batch_size", "latent_dim", "max_modes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if not self.wgan_clip > 0:
-            raise ValueError(f"wgan_clip must be positive, got {self.wgan_clip!r}")
 
 
 def output_blocks(schema, mode, numeric=None):
@@ -205,17 +229,30 @@ def output_blocks(schema, mode, numeric=None):
     return tuple(blocks)
 
 
-def encode_categoricals(table, blocks, width):
-    """An (n, width) zero array with each categorical block's one-hot bit set.
+def encode_rows(table, mode, numeric, rng=None):
+    """Generator-space rows from table rows, the inverse of ``decode_rows``.
 
-    The one writer of categorical one-hots for the GAN, kernel and CTGAN
-    encodings; the caller fills its other blocks.
+    Fills the blocks of ``output_blocks(schema, mode, numeric)`` in order: a
+    categorical block's one-hot bit; the GAN numeric block's (x - min) /
+    (max - min) per column, 0.5 where min == max; and a CTGAN column's alpha
+    and mode one-hot from ``encode_continuous_batch``, which draws the mode
+    from ``rng``.
     """
     n = table.n_rows
-    out = np.zeros((n, width))
+    blocks = output_blocks(table.schema, mode, numeric)
+    out = np.zeros((n, sum(b.width for b in blocks)))
     for block in blocks:
+        cols = out[:, block.offset:block.offset + block.width]
         if block.kind == "categorical":
-            out[np.arange(n), block.offset + table.X[:, block.column].astype(int)] = 1.0
+            cols[np.arange(n), table.X[:, block.column].astype(int)] = 1.0
+        elif block.kind == "numeric":
+            for k, (j, (lo, hi)) in enumerate(numeric.items()):
+                cols[:, k] = (table.X[:, j] - lo) / (hi - lo) if hi > lo else 0.5
+        elif block.kind == "alpha":  # its mode block comes next, from the same draw
+            cols[:, 0], onehots = encode_continuous_batch(
+                table.X[:, block.column], numeric[block.column], rng)
+        else:
+            cols[...] = onehots
     return out
 
 
@@ -225,16 +262,7 @@ def encode_for_gan(table):
     (min, max)})."""
     numeric = {j: (float(table.X[:, j].min()), float(table.X[:, j].max()))
                for j in table.schema.numeric_indices}
-    blocks = output_blocks(table.schema, VANILLA)
-    width = sum(b.width for b in blocks)
-    out = encode_categoricals(table, blocks, width)
-    start = width - len(numeric)  # the numeric block is last
-    for k, (j, (lo, hi)) in enumerate(numeric.items()):
-        if hi > lo:
-            out[:, start + k] = (table.X[:, j] - lo) / (hi - lo)
-        else:
-            out[:, start + k] = 0.5
-    return out, numeric
+    return encode_rows(table, VANILLA, numeric), numeric
 
 
 def decode_rows(encoded, schema, mode, numeric):
@@ -251,10 +279,11 @@ def decode_rows(encoded, schema, mode, numeric):
             vals = np.clip(cols, 0.0, 1.0)
             for k, (j, (lo, hi)) in enumerate(numeric.items()):
                 X[:, j] = vals[:, k] * (hi - lo) + lo
-        elif block.kind == "mode":
+        elif block.kind == "alpha":  # its mode block comes next
+            alphas = np.clip(cols[:, 0], -1.0, 1.0)
+        else:
             norm = numeric[block.column]
             modes = np.argmax(cols, axis=1)
-            alphas = np.clip(encoded[:, block.offset - 1], -1.0, 1.0)  # its alpha block
             X[:, block.column] = alphas * ALPHA_SCALE * norm.stds[modes] + norm.means[modes]
     return Table(schema, X, np.ones(n, dtype=int))
 
@@ -409,7 +438,7 @@ def train_adversarial(gen, critic, rng, config, wasserstein, batches, draw_real,
 
     Each of config.epochs epochs runs one step per entry of ``batches(rng)``.
     A step updates the critic once on binary cross-entropy, or, when
-    ``wasserstein``, config.critic_steps times on the Wasserstein loss with
+    ``wasserstein``, CRITIC_STEPS times on the Wasserstein loss with
     weight clipping; each update scores ``draw_real(batch, rng)``, which
     returns (real rows, their conditions), against as many fresh fakes. Then
     the generator takes one update. ``draw_condition(b, rng)`` returns its
@@ -418,7 +447,7 @@ def train_adversarial(gen, critic, rng, config, wasserstein, batches, draw_real,
     Conditions are appended to the generator's noise and to both critic
     inputs. Returns the per-epoch mean losses {"d_loss": [...], "g_loss": [...]}.
     """
-    n_critic = config.critic_steps if wasserstein else 1
+    n_critic = CRITIC_STEPS if wasserstein else 1
     d_hist, g_hist = [], []
     for epoch in range(config.epochs):
         d_losses, g_losses = [], []
@@ -442,7 +471,7 @@ def train_adversarial(gen, critic, rng, config, wasserstein, batches, draw_real,
                 g_f, _ = backward(critic, acts_f, grad_f)
                 adam_step(critic, g_r + g_f, config.adam)
                 if wasserstein:
-                    clip_weights(critic, config.wgan_clip)
+                    clip_weights(critic, WGAN_CLIP)
 
             if draw_condition is None:
                 cond, hot = np.zeros((b, 0)), None

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import concat_tables
+from .data_model import apply_preprocess
 from .errors import SchemaMismatch, SolverStallWarning
-from .gan import VANILLA, encode_categoricals, output_blocks
+from .gan import VANILLA, encode_rows
 
 SIGMOID = "sigmoid"
 RBF = "rbf"
@@ -275,17 +275,10 @@ def default_gamma(dim):
 
 def encode_for_kernel(table, params):
     """One-hot categoricals + standardized numerics, as kernel and classifier
-    inputs. The blocks are the GAN encoding's, which depend on the schema
-    only; the numeric block keeps the standardized values."""
-    from .data_model import apply_preprocess
-
-    std = apply_preprocess(table, params, "forward")
-    blocks = output_blocks(table.schema, VANILLA)
-    width = sum(b.width for b in blocks)
-    out = encode_categoricals(std, blocks, width)
-    numeric = table.schema.numeric_indices
-    out[:, width - len(numeric):] = std.X[:, numeric]
-    return out
+    inputs: the GAN encoding with every numeric range (0, 1), under which
+    (x - 0) / (1 - 0) keeps each standardized value bit for bit."""
+    numeric = dict.fromkeys(table.schema.numeric_indices, (0.0, 1.0))
+    return encode_rows(apply_preprocess(table, params), VANILLA, numeric)
 
 
 def undersample_majority(train, nu, kind=SIGMOID, gamma="auto", coef0=0.0, params=None):

@@ -28,7 +28,6 @@ from .classifiers import (
 from .ctgan import train_ctgan
 from .data_model import (
     Schema,
-    Table,
     concat_tables,
     fit_preprocess,
     load_csv,
@@ -293,8 +292,7 @@ def _features(spec, table, preprocess_params):
     return table.X
 
 
-TREE_OPTIONS = {"max_depth": 10, "min_samples_leaf": 10, "min_samples_split": 10,
-                "max_features": "log2"}
+TREE_OPTIONS = {f.name: f.default for f in fields(TreeParams)}
 # The spec keys each classifier kind reads, with their defaults; every kind
 # also accepts "kind" and "name", and rejects any other key.
 CLASSIFIER_OPTIONS = {

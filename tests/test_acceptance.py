@@ -27,8 +27,9 @@ from fingan.classifiers import (
     svm_objective,
 )
 import fingan.pipeline as pipeline
-from fingan.ctgan import decode_continuous, encode_continuous_batch, fit_mode_normalizer
-from fingan.data_model import Schema, load_csv, stratified_holdout, stratified_kfold
+from fingan.ctgan import fit_mode_normalizer
+from fingan.data_model import (NUMERIC, ColumnSpec, Schema, load_csv, stratified_holdout,
+                               stratified_kfold)
 from fingan.evaluation import (
     ConfusionCounts,
     apply_rules,
@@ -38,7 +39,8 @@ from fingan.evaluation import (
     t_test_auc,
 )
 from fingan.fixtures import blobs_imbalanced, mixed_imbalanced, table_to_csv
-from fingan.gan import DiscreteStats, draw_conditions, sample_synthetic
+from fingan.gan import (CTGAN, DiscreteStats, decode_rows, draw_conditions,
+                        encode_continuous_batch, sample_synthetic)
 from fingan.ocsvm import KernelSpec, fit_ocsvm, kernel_matrix
 from fingan.pipeline import (
     BalancerSettings,
@@ -144,11 +146,13 @@ def test_ctgan_normalizer():
            norm.n_modes == 2, f"{norm.n_modes} modes")
 
     alphas, onehots = encode_continuous_batch(values, norm, np.random.default_rng(1))
+    schema = Schema((ColumnSpec("x", NUMERIC),), "t", "p", ("n", "p"))
+    decoded = decode_rows(np.column_stack([alphas, onehots]), schema, CTGAN, {0: norm}).X[:, 0]
     worst = 0.0
-    for v, a, oh in zip(values, alphas, onehots):
+    for v, d, oh in zip(values, decoded, onehots):
         k = int(np.argmax(oh))
         if abs(v - norm.means[k]) <= 4.0 * norm.stds[k]:
-            worst = max(worst, abs(decode_continuous(a, oh, norm) - v))
+            worst = max(worst, abs(d - v))
     report("CTGAN normalizer: encode/decode round trip <= 1e-6",
            worst <= 1e-6, f"worst abs err {worst:.2e}")
 

@@ -17,7 +17,6 @@ from fingan import nn_core
 from fingan.ctgan import (
     _condition_buckets,
     _condition_loss,
-    _encode_table,
     _sample_bucket_rows,
     build_discrete_stats,
     fit_mode_normalizer,
@@ -25,14 +24,17 @@ from fingan.ctgan import (
 )
 from fingan.fixtures import bimodal_minority, mixed_imbalanced, rare_category_minority
 from fingan.gan import (
+    CRITIC_STEPS,
     CTGAN,
     GENERATOR_HIDDEN_WIDTHS,
+    WGAN_CLIP,
     DiscreteStats,
     GanConfig,
     GeneratorModel,
     build_discriminator,
     draw_conditions,
     encode_for_gan,
+    encode_rows,
     output_blocks,
     train_gan,
 )
@@ -140,7 +142,7 @@ def oracle_vanilla_gen_step(disc, trunk, heads, blocks, b, config, rng):
 
 def oracle_wgan_critic_steps(disc, trunk, heads, real, b, config, rng):
     loss = 0.0
-    for _ in range(config.critic_steps):
+    for _ in range(CRITIC_STEPS):
         idx = rng.integers(0, real.shape[0], size=b)
         real_batch = real[idx]
         _, _, fake = oracle_sample_fake(trunk, heads, b, config.latent_dim, rng)
@@ -150,7 +152,7 @@ def oracle_wgan_critic_steps(disc, trunk, heads, real, b, config, rng):
         g_r, _ = backward(disc, acts_r, np.full((b, 1), -1.0 / b))
         g_f, _ = backward(disc, acts_f, np.full((b, 1), 1.0 / b))
         adam_step(disc, g_r + g_f, config.adam)
-        clip_weights(disc, config.wgan_clip)
+        clip_weights(disc, WGAN_CLIP)
     return loss
 
 
@@ -207,7 +209,7 @@ def oracle_train_ctgan(minority, config):
         [config.seed + j for j in numeric])))
     blocks = output_blocks(schema, CTGAN, normalizers)
     enc_width = sum(b.width for b in blocks)
-    real = _encode_table(minority, normalizers, blocks, rng)
+    real = encode_rows(minority, CTGAN, normalizers, rng)
 
     stats = build_discrete_stats(minority)
     cond_dim = stats.total_width if stats.columns else 0
@@ -231,7 +233,7 @@ def oracle_train_ctgan(minority, config):
         for _ in range(steps_per_epoch):
             b = config.batch_size
             c_loss = 0.0
-            for _ in range(config.critic_steps):
+            for _ in range(CRITIC_STEPS):
                 if conditioned:
                     cols, cats, cond = draw_conditions(stats, b, rng)
                     ridx = _sample_bucket_rows(buckets, offsets[cols] + cats,
@@ -249,7 +251,7 @@ def oracle_train_ctgan(minority, config):
                 g_r, _ = backward(critic, acts_r, np.full((b, 1), -1.0 / b))
                 g_f, _ = backward(critic, acts_f, np.full((b, 1), 1.0 / b))
                 adam_step(critic, g_r + g_f, config.adam)
-                clip_weights(critic, config.wgan_clip)
+                clip_weights(critic, WGAN_CLIP)
 
             if conditioned:
                 cols, cats, cond = draw_conditions(stats, b, rng)

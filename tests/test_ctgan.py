@@ -13,18 +13,20 @@ from fingan.ctgan import (
     _kmeanspp_centers,
     _sample_bucket_rows,
     _sigma_floor,
-    decode_continuous,
-    encode_continuous_batch,
     fit_mode_normalizer,
     train_ctgan,
 )
-from fingan.errors import InvalidOneHot, NoDiscreteColumns, SchemaMismatch
+from fingan.data_model import NUMERIC, ColumnSpec, Schema
+from fingan.errors import NoDiscreteColumns, SchemaMismatch
 from fingan.gan import (
+    CTGAN,
     DiscreteStats,
     GanConfig,
     GeneratorModel,
     ModeNormalizer,
+    decode_rows,
     draw_conditions,
+    encode_continuous_batch,
     sample_synthetic,
 )
 from fingan.nn_core import PROB_EPS
@@ -64,6 +66,14 @@ class TestModeNormalizer:
         assert np.all(np.diff(h) >= -1e-7)
 
 
+def decode_column(alphas, onehots, norm):
+    """A numeric column's values decoded by decode_rows from its CTGAN
+    alpha and mode blocks."""
+    schema = Schema((ColumnSpec("x", NUMERIC),), "t", "p", ("n", "p"))
+    encoded = np.column_stack([alphas, onehots])
+    return decode_rows(encoded, schema, CTGAN, {0: norm}).X[:, 0]
+
+
 class TestContinuousCoding:
     def single_mode(self):
         return fit_mode_normalizer(np.array([0.0, 0.0]), max_modes=1)
@@ -85,7 +95,7 @@ class TestContinuousCoding:
 
     def test_decode_inverse(self):
         norm = fit_mode_normalizer(np.random.default_rng(1).normal(0, 1, 500), 1)
-        value = decode_continuous(0.5, np.array([1.0]), norm)
+        value = decode_column([0.5], [[1.0]], norm)[0]
         assert value == pytest.approx(norm.means[0] + 2.0 * norm.stds[0])
 
     def test_round_trip_within_clamp(self):
@@ -93,16 +103,11 @@ class TestContinuousCoding:
         values = np.concatenate([rng.normal(0, 1, 300), rng.normal(8, 1, 300)])
         norm = fit_mode_normalizer(values, max_modes=4, seed=0)
         alphas, onehots = encode_continuous_batch(values, norm, np.random.default_rng(5))
-        for v, a, oh in zip(values, alphas, onehots):
+        decoded = decode_column(alphas, onehots, norm)
+        for v, d, oh in zip(values, decoded, onehots):
             k = np.argmax(oh)
             if abs(v - norm.means[k]) <= 4.0 * norm.stds[k]:  # inside the clamp
-                assert decode_continuous(a, oh, norm) == pytest.approx(v, abs=1e-6)
-
-    def test_invalid_onehot(self):
-        norm = fit_mode_normalizer(np.array([1.0, 2.0, 3.0]), max_modes=2)
-        with pytest.raises(InvalidOneHot):
-            decode_continuous(0.0, np.ones(norm.n_modes) if norm.n_modes > 1
-                              else np.array([1.0, 1.0]), norm)
+                assert d == pytest.approx(v, abs=1e-6)
 
 
 class TestCondVec:

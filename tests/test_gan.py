@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 
 from conftest import GAN_SEEDS
-from fingan.ctgan import train_ctgan
+from fingan.ctgan import fit_mode_normalizer, train_ctgan
 from fingan.data_model import CATEGORICAL, NUMERIC, ColumnSpec, Schema, Table
 from fingan.errors import EmptyMinority, SchemaMismatch
 from fingan.fixtures import bimodal_minority, mixed_imbalanced
 from fingan.gan import (
+    CTGAN,
     VANILLA,
+    WGAN,
+    WGAN_CLIP,
     GanConfig,
     GeneratorModel,
     balance_by_oversampling,
     decode_rows,
     encode_for_gan,
+    encode_rows,
+    output_blocks,
     sample_synthetic,
     train_gan,
 )
@@ -46,22 +51,37 @@ class TestEncoding:
         np.testing.assert_array_equal(back.X[:, 2], table.X[:, 2])  # categorical exact
         np.testing.assert_allclose(back.X[:, :2], table.X[:, :2], rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", [VANILLA, WGAN, CTGAN])
+    def test_encode_rows_inverts_decode_rows(self, mode):
+        """Categoricals come back exactly; GAN numerics to 1e-12, and CTGAN
+        numerics to 1e-6 where the value lies inside its mode's 4-sigma clamp."""
+        table = minority_mixed(60, seed=4)
+        cols = table.schema.numeric_indices
+        if mode == CTGAN:
+            numeric = dict(zip(cols, fit_mode_normalizer(table.X[:, cols], 3, cols)))
+        else:
+            numeric = {j: (table.X[:, j].min(), table.X[:, j].max()) for j in cols}
+        encoded = encode_rows(table, mode, numeric, np.random.default_rng(0))
+        back = decode_rows(encoded, table.schema, mode, numeric).X
+        for j in table.schema.categorical_indices:
+            np.testing.assert_array_equal(back[:, j], table.X[:, j])
+        if mode != CTGAN:
+            np.testing.assert_allclose(back[:, cols], table.X[:, cols], rtol=0, atol=1e-12)
+            return
+        for block in output_blocks(table.schema, CTGAN, numeric):
+            if block.kind == "mode":
+                j, norm = block.column, numeric[block.column]
+                modes = encoded[:, block.offset:block.offset + block.width].argmax(axis=1)
+                inside = np.abs(table.X[:, j] - norm.means[modes]) <= 4.0 * norm.stds[modes]
+                assert inside.sum() >= 50
+                np.testing.assert_allclose(back[inside, j], table.X[inside, j],
+                                           rtol=0, atol=1e-6)
+
 
 class TestTrainGan:
     def test_epochs_zero_rejected(self):
         with pytest.raises(ValueError):
             GanConfig(epochs=0)
-
-    def test_critic_steps_zero_rejected(self):
-        for mode in ("vanilla", "wgan", "ctgan"):
-            with pytest.raises(ValueError, match="critic_steps"):
-                GanConfig(mode=mode, critic_steps=0)
-
-    @pytest.mark.parametrize("mode", ["vanilla", "wgan", "ctgan"])
-    def test_clip_not_positive_rejected(self, mode):
-        for clip in (0, -0.01, float("nan")):
-            with pytest.raises(ValueError, match="wgan_clip"):
-                GanConfig(mode=mode, wgan_clip=clip)
 
     @pytest.mark.parametrize("name", ["batch_size", "latent_dim"])
     def test_size_below_one_rejected(self, name):
@@ -91,7 +111,7 @@ class TestTrainGan:
         config = GanConfig(mode="wgan", epochs=2, batch_size=16, seed=1)
         model = train_gan(table, config)
         for w in model.discriminator.weights + model.discriminator.biases:
-            assert np.max(np.abs(w)) <= config.wgan_clip
+            assert np.max(np.abs(w)) <= WGAN_CLIP
 
 
 class TestLossHistory:

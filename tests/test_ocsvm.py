@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import fingan.ocsvm as ocsvm
-from fingan.data_model import fit_preprocess
-from fingan.errors import SchemaMismatch
+from fingan.data_model import (CATEGORICAL, NUMERIC, ColumnSpec, Schema, Table,
+                               apply_preprocess, fit_preprocess)
+from fingan.errors import ConstantColumnWarning, SchemaMismatch
 from fingan.fixtures import mixed_imbalanced
 from fingan.ocsvm import (
     GAP_TOL,
@@ -422,6 +423,25 @@ class TestUndersample:
         table = mixed_imbalanced(30, 5, seed=8).negatives()
         with pytest.raises(ValueError):
             undersample_majority(table, 0.5)
+
+
+def test_kernel_encoding_keeps_standardized_values():
+    """The numeric block holds apply_preprocess's values bit for bit, a
+    constant column's unscaled value included, after the one-hot block."""
+    schema = Schema((ColumnSpec("amount", NUMERIC),
+                     ColumnSpec("kind", CATEGORICAL, ("a", "b")),
+                     ColumnSpec("fee", NUMERIC)), "target", "yes", ("no", "yes"))
+    rng = np.random.default_rng(4)
+    X = np.column_stack([rng.lognormal(8.0, 2.0, 50), rng.integers(0, 2, 50),
+                         np.full(50, 7.25)])
+    table = Table(schema, X, np.zeros(50, dtype=int))
+    with pytest.warns(ConstantColumnWarning):
+        params = fit_preprocess(table)
+    encoded = encode_for_kernel(table, params)
+    np.testing.assert_array_equal(encoded[:, :2], np.eye(2)[X[:, 1].astype(int)])
+    standardized = apply_preprocess(table, params).X[:, [0, 2]]
+    assert encoded[:, 2:].tobytes() == standardized.tobytes()
+    assert np.all(encoded[:, 3] == 7.25)
 
 
 def test_model_serialization():
