@@ -40,6 +40,7 @@ from .nn_core import adam_step, backward, forward  # noqa: F401
 WEIGHT_PRUNE = 0.005
 EM_MAX_ITERS = 200
 EM_TOL = 1e-8
+EM_BLOCK_VALUES = 1 << 21  # one EM loop holds at most this many (fit, component, row) terms
 
 
 def _sigma_floor(values):
@@ -68,8 +69,8 @@ def fit_mode_normalizer(values, max_modes=MAX_MODES, seed=0):
     component count up to max_modes; the count is selected by BIC, then
     components below the weight-prune threshold are dropped and the weights
     renormalized. This keeps redundant components from surviving on
-    well-separated clusters. All columns are fitted together, and each
-    column's result is the one a fit of that column alone gives.
+    well-separated clusters. Every (column, count) fit runs in one EM loop,
+    and each column's result is the one a fit of that column alone gives.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
@@ -87,15 +88,29 @@ def fit_mode_normalizer(values, max_modes=MAX_MODES, seed=0):
                                     np.random.default_rng(seed[i]))
                for i in fitted}
     std0 = {i: max(columns[i].std(), floors[i]) for i in fitted}
+    fits = [(i, k) for i in fitted for k in range(1, counts[i] + 1)]
+    fit_cols = np.array([i for i, _ in fits], dtype=int)
+    ks = np.array([k for _, k in fits], dtype=int)
+    width = max(ks, default=1)
+    em_means, em_stds = np.zeros((len(fits), width)), np.empty((len(fits), width))
+    for r, (i, k) in enumerate(fits):
+        em_means[r, :k] = centers[i][:k]
+        em_stds[r] = std0[i]
+    em_weights, histories = np.empty_like(em_means), []
+    per_loop = max(1, EM_BLOCK_VALUES // (width * n))
+    for lo in range(0, len(fits), per_loop):
+        part = slice(lo, lo + per_loop)
+        em_weights[part], em_means[part], em_stds[part], part_histories = _fit_em(
+            columns[fit_cols[part]], ks[part], em_means[part], em_stds[part],
+            floors[fit_cols[part]])
+        histories += part_histories
+
     best = {}
-    for k in range(1, max((counts[i] for i in fitted), default=0) + 1):
-        idx = np.array([i for i in fitted if counts[i] >= k])
-        fit = _fit_em(columns[idx], np.array([centers[i][:k] for i in idx]),
-                      np.array([np.full(k, std0[i]) for i in idx]), floors[idx])
-        for r, i in enumerate(idx):
-            bic = -2.0 * fit[3][r][-1] + (3 * k - 1) * np.log(n)
-            if i not in best or bic < best[i][0] - 1e-9:
-                best[i] = (bic, fit[0][r], fit[1][r], fit[2][r], fit[3][r])
+    for r, (i, k) in enumerate(fits):
+        bic = -2.0 * histories[r][-1] + (3 * k - 1) * np.log(n)
+        if i not in best or bic < best[i][0] - 1e-9:
+            best[i] = (bic, em_weights[r, :k], em_means[r, :k], em_stds[r, :k],
+                       histories[r])
 
     out = []
     for i, col in enumerate(columns):
@@ -115,49 +130,87 @@ def fit_mode_normalizer(values, max_modes=MAX_MODES, seed=0):
     return out
 
 
-def _fit_em(values, means, stds, floors):
-    """EM on c columns at once: values (c, n), initial means and stds (c, k).
+def _sum_components(terms, counts):
+    """Sum (f, width, n) terms over the component axis as numpy sums a fit's
+    count contiguous terms: in order below 8 terms, pairwise from 8 on. The
+    terms past a fit's count are zeros."""
+    total = terms.sum(axis=1)  # a strided axis: in order
+    for k in np.unique(counts[counts >= 8]):
+        fits = counts == k
+        total[fits] = np.ascontiguousarray(terms[fits, :k].swapaxes(1, 2)).sum(axis=2)
+    return total
 
-    Each column runs the arithmetic of a one-column fit, elementwise and
-    with every reduction over the same contiguous run in the same order,
-    and stops updating at the iteration where a fit of it alone would stop.
-    Returns weights, means and stds (c, k) and c loglik histories.
+
+def _sum_rows(terms, counts):
+    """Sum (f, width, n) terms over rows as numpy sums an (n, count) array
+    down its rows: pairwise when the count is 1, which makes the rows
+    contiguous, and in order otherwise."""
+    total = np.ascontiguousarray(terms.transpose(2, 0, 1)).sum(axis=0)  # rows outermost: in order
+    one = counts == 1
+    if one.any():
+        total[one] = terms[one].sum(axis=2)
+    return total
+
+
+def _fit_em(values, counts, means, stds, floors):
+    """EM on f mixture fits at once: values (f, n), component counts (f,),
+    initial means and stds (f, width) with width at least every count, and
+    sigma floors (f,).
+
+    Each fit runs the arithmetic of a fit on its own, elementwise and with
+    every reduction summed in the same order, and stops updating at the
+    iteration where it alone would stop. Components past a fit's count have
+    log-weight -inf, so they take no responsibility and add exact zeros.
+    Returns weights, means and stds (f, width), of which a fit's first
+    count columns are its result, and f loglik histories.
     """
-    c, n = values.shape
-    k = means.shape[1]
-    weights = np.full((c, k), 1.0 / k)
-    histories = [[] for _ in range(c)]
-    prev = np.full(c, -np.inf)
-    live = np.arange(c)
-    for _ in range(EM_MAX_ITERS):
-        x = values[live][:, :, None]
-        # E step
-        log_pdf = (
-            -0.5 * ((x - means[live][:, None, :]) / stds[live][:, None, :]) ** 2
-            - np.log(stds[live][:, None, :])
-            - 0.5 * np.log(2 * np.pi)
-        )
-        log_w = np.log(np.maximum(weights[live], 1e-300))
-        joint = log_pdf + log_w[:, None, :]
-        row_max = joint.max(axis=2, keepdims=True)
-        lse = row_max[:, :, 0] + np.log(np.exp(joint - row_max).sum(axis=2))
+    f, n = values.shape
+    absent = np.arange(means.shape[1]) >= counts[:, None]
+    weights = np.where(absent, 0.0, 1.0 / counts[:, None])
+    means, stds = np.where(absent, 0.0, means), np.where(absent, 1.0, stds)
+    logliks = np.empty((f, EM_MAX_ITERS))
+    iters = np.zeros(f, dtype=int)
+    prev = np.full(f, -np.inf)
+    live = np.arange(f)
+    for it in range(EM_MAX_ITERS):
+        # (fit, component, row), rows contiguous; each step is one in-place
+        # pass, in the order of the one-fit expressions
+        x = values[live][:, None, :]
+        k = counts[live]
+        sd = stds[live][:, :, None]
+        # E step: log_pdf = -0.5 * ((x - mean) / sd) ** 2 - log(sd) - log(2 pi) / 2
+        joint = x - means[live][:, :, None]
+        joint /= sd
+        np.square(joint, out=joint)
+        joint *= -0.5
+        joint -= np.log(sd)
+        joint -= 0.5 * np.log(2 * np.pi)
+        joint += np.where(absent[live], -np.inf,
+                          np.log(np.maximum(weights[live], 1e-300)))[:, :, None]
+        row_max = joint.max(axis=1, keepdims=True)
+        resp = joint - row_max
+        np.exp(resp, out=resp)
+        lse = row_max[:, 0] + np.log(_sum_components(resp, k))
         loglik = lse.sum(axis=1)
-        for i, ll in zip(live, loglik):
-            histories[i].append(float(ll))
-        resp = np.exp(joint - lse[:, :, None])
-        # M step
-        nk = resp.sum(axis=1)
+        logliks[live, it] = loglik
+        iters[live] += 1
+        np.subtract(joint, lse[:, None, :], out=resp)
+        np.exp(resp, out=resp)
+        # M step; joint's buffer now holds the terms of each sum
+        nk = _sum_rows(resp, k)
         safe = np.maximum(nk, 1e-12)
         weights[live] = nk / n
-        means[live] = (resp * x).sum(axis=1) / safe
-        var = (resp * (x - means[live][:, None, :]) ** 2).sum(axis=1) / safe
+        means[live] = _sum_rows(np.multiply(resp, x, out=joint), k) / safe
+        np.subtract(x, means[live][:, :, None], out=joint)
+        np.square(joint, out=joint)
+        var = _sum_rows(np.multiply(resp, joint, out=joint), k) / safe
         stds[live] = np.maximum(np.sqrt(var), floors[live][:, None])
         done = (loglik - prev[live] < EM_TOL) & np.isfinite(prev[live])
         prev[live] = loglik
         live = live[~done]
         if len(live) == 0:
             break
-    return weights, means, stds, histories
+    return weights, means, stds, [row[:m].tolist() for row, m in zip(logliks, iters)]
 
 
 def build_discrete_stats(table):

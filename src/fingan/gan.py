@@ -446,30 +446,39 @@ def train_adversarial(gen, critic, rng, config, wasserstein, batches, draw_real,
     grad_fake)`` scores; without it the generator's conditions are empty.
     Conditions are appended to the generator's noise and to both critic
     inputs. Returns the per-epoch mean losses {"d_loss": [...], "g_loss": [...]}.
+
+    The generator does not change during a step's critic updates, so their
+    real rows and noise are drawn first, in update order, and one forward
+    pass over the stack of their inputs makes every update's fakes. Each
+    update then runs the critic once forward and once backward over the
+    stack (real, fake); see ``nn_core.backward`` for how its gradient sums.
     """
     n_critic = CRITIC_STEPS if wasserstein else 1
     d_hist, g_hist = [], []
     for epoch in range(config.epochs):
         d_losses, g_losses = [], []
         for batch in batches(rng):
+            draws = []
             for _ in range(n_critic):
                 real_batch, cond = draw_real(batch, rng)
+                z = rng.standard_normal((len(real_batch), config.latent_dim))
+                draws.append((real_batch, cond, np.concatenate([z, cond], axis=1)))
+            fakes = forward(gen, np.stack([gen_in for _, _, gen_in in draws]))[-1]
+            for (real_batch, cond, _), fake in zip(draws, fakes):
                 b = len(real_batch)
-                z = rng.standard_normal((b, config.latent_dim))
-                fake = forward(gen, np.concatenate([z, cond], axis=1))[-1]
-                acts_r = forward(critic, np.concatenate([real_batch, cond], axis=1))
-                acts_f = forward(critic, np.concatenate([fake, cond], axis=1))
+                acts = forward(critic, np.stack([np.concatenate([real_batch, cond], axis=1),
+                                                 np.concatenate([fake, cond], axis=1)]))
+                score_r, score_f = acts[-1]
                 if wasserstein:
                     # critic maximizes mean(real) - mean(fake); minimize the negation
-                    d_loss = float(acts_f[-1].mean() - acts_r[-1].mean())
-                    grad_r, grad_f = np.full((b, 1), -1.0 / b), np.full((b, 1), 1.0 / b)
+                    d_loss = float(score_f.mean() - score_r.mean())
+                    grad = np.stack([np.full((b, 1), -1.0 / b), np.full((b, 1), 1.0 / b)])
                 else:
-                    loss_r, grad_r = bce_loss(acts_r[-1][:, 0], np.ones(b))
-                    loss_f, grad_f = bce_loss(acts_f[-1][:, 0], np.zeros(b))
-                    d_loss, grad_r, grad_f = loss_r + loss_f, grad_r[:, None], grad_f[:, None]
-                g_r, _ = backward(critic, acts_r, grad_r)
-                g_f, _ = backward(critic, acts_f, grad_f)
-                adam_step(critic, g_r + g_f, config.adam)
+                    loss_r, grad_r = bce_loss(score_r[:, 0], np.ones(b))
+                    loss_f, grad_f = bce_loss(score_f[:, 0], np.zeros(b))
+                    d_loss, grad = loss_r + loss_f, np.stack([grad_r, grad_f])[:, :, None]
+                g, _ = backward(critic, acts, grad)
+                adam_step(critic, g, config.adam)
                 if wasserstein:
                     clip_weights(critic, WGAN_CLIP)
 

@@ -6,7 +6,9 @@ activation. A layer's activation may instead be a sequence of (activation,
 width) segments, applied in order to consecutive runs of its columns; the
 generator's output layer has one per output block. Gradients are
 sum-reduced over the batch, so loss functions that want a mean should scale
-their output gradient by 1/batch.
+their output gradient by 1/batch. A batch may also be a stack of s batches,
+(s, rows, width): each runs through the same matrix products as it would
+alone, and the parameter gradient is the sum of theirs, added in stack order.
 
 A network's parameters are one flat float64 buffer: layer by layer, the
 (out, in) weights row-major, then the biases. Gradients and both Adam moments
@@ -111,11 +113,13 @@ class NetworkState:
     step: int = 0
     weights: list = field(init=False, repr=False, compare=False)  # views into params
     biases: list = field(init=False, repr=False, compare=False)
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)  # adam_step's
 
     def __post_init__(self):
         if self.params.shape != (self.spec.size,):
             raise ShapeMismatch(f"{self.params.shape} parameters, expected ({self.spec.size},)")
         self.weights, self.biases = unflatten(self.spec, self.params)
+        self.scratch = np.empty((2, self.spec.size))
 
 
 def glorot_uniform(rng, fan_in, fan_out):
@@ -134,33 +138,31 @@ def init_network(spec, seed):
 
 
 def sigmoid(z):
-    """Logistic function, split by sign so exp never overflows."""
-    out = np.empty_like(z)
+    """Logistic function: 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z))
+    below, so exp never overflows."""
+    e = np.exp(-np.abs(z))
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return (pos + ~pos * e) / (1 + e)
 
 
 def _activate(z, layer):
     if layer.segments:
         out = np.empty_like(z)
         for sl, part in layer.segments:
-            out[:, sl] = _activate(z[:, sl], part)
+            out[..., sl] = _activate(z[..., sl], part)
         return out
     if layer.activation == RELU:
         return np.maximum(z, 0.0)
     if layer.activation == LEAKY_RELU:
-        return np.where(z > 0, z, layer.slope * z)
+        return np.maximum(z, layer.slope * z)
     if layer.activation == SIGMOID:
         return sigmoid(z)
     if layer.activation == TANH:
         return np.tanh(z)
     if layer.activation == SOFTMAX:
-        shifted = z - z.max(axis=1, keepdims=True)
+        shifted = z - z.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return e / e.sum(axis=-1, keepdims=True)
     if layer.activation == IDENTITY:
         return z
     raise ValueError(f"unknown activation {layer.activation!r}")
@@ -171,18 +173,18 @@ def _activation_grad(a, upstream, layer):
     if layer.segments:
         out = np.empty_like(a)
         for sl, part in layer.segments:
-            out[:, sl] = _activation_grad(a[:, sl], upstream[:, sl], part)
+            out[..., sl] = _activation_grad(a[..., sl], upstream[..., sl], part)
         return out
     if layer.activation == RELU:
         return upstream * (a > 0)
     if layer.activation == LEAKY_RELU:
-        return upstream * np.where(a > 0, 1.0, layer.slope)
+        return upstream * ((a > 0) * (1 - layer.slope) + layer.slope)
     if layer.activation == SIGMOID:
         return upstream * a * (1.0 - a)
     if layer.activation == TANH:
         return upstream * (1.0 - a * a)
     if layer.activation == SOFTMAX:
-        inner = (upstream * a).sum(axis=1, keepdims=True)
+        inner = (upstream * a).sum(axis=-1, keepdims=True)
         return a * (upstream - inner)
     if layer.activation == IDENTITY:
         return upstream
@@ -190,11 +192,12 @@ def _activation_grad(a, upstream, layer):
 
 
 def forward(state, batch):
-    """Run the network; returns all layer activations (input first)."""
+    """Run the network on a batch or a stack of batches; returns all layer
+    activations (input first)."""
     batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    if batch.shape[1] != state.spec.input_dim:
+    if batch.shape[-1] != state.spec.input_dim:
         raise ShapeMismatch(
-            f"batch width {batch.shape[1]} != input_dim {state.spec.input_dim}")
+            f"batch width {batch.shape[-1]} != input_dim {state.spec.input_dim}")
     if not np.all(np.isfinite(batch)):
         raise NonFiniteInput("batch contains NaN or Inf")
     activations = [batch]
@@ -210,7 +213,9 @@ def backward(state, activations, loss_grad_at_output):
     """Backprop; returns (flat parameter gradient, grad w.r.t. input).
 
     The parameter gradient has the layout of state.params and is summed over
-    the batch.
+    the batch. For a stack of batches, each batch's weight and bias gradients
+    are summed on their own and then added in stack order, as the gradients
+    of separate calls would be.
     """
     grad = np.atleast_2d(np.asarray(loss_grad_at_output, dtype=float))
     if grad.shape != activations[-1].shape:
@@ -220,26 +225,42 @@ def backward(state, activations, loss_grad_at_output):
     for i in range(len(spec.layers) - 1, -1, -1):
         start, end, shape = spec.offsets[i]
         dz = _activation_grad(activations[i + 1], grad, spec.layers[i])
-        np.matmul(dz.T, activations[i], out=flat[start:end].reshape(shape))
-        dz.sum(axis=0, out=flat[end:end + shape[0]])
+        w_grad, b_grad = flat[start:end].reshape(shape), flat[end:end + shape[0]]
+        batches = dz.reshape((-1,) + dz.shape[-2:])
+        inputs = activations[i].reshape((-1,) + activations[i].shape[-2:])
+        np.matmul(batches[0].T, inputs[0], out=w_grad)
+        batches[0].sum(axis=0, out=b_grad)
+        for d, a in zip(batches[1:], inputs[1:]):
+            w_grad += d.T @ a
+            b_grad += d.sum(axis=0)
         grad = dz @ state.weights[i]
     return flat, grad
 
 
 def adam_step(state, grad, config):
-    """In-place Adam update with bias correction; returns the state."""
+    """In-place Adam update with bias correction; returns the state.
+
+    The step is learning_rate * m_hat / (sqrt(v_hat) + eps), evaluated in
+    that order in the state's scratch rows, so nothing is allocated.
+    """
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient("gradient contains NaN or Inf")
     state.step += 1
     t = state.step
     b1, b2 = config.beta1, config.beta2
+    step, denom = state.scratch
     state.m *= b1
-    state.m += (1 - b1) * grad
+    state.m += np.multiply(grad, 1 - b1, out=step)
     state.v *= b2
-    state.v += (1 - b2) * grad * grad
-    m_hat = state.m / (1 - b1 ** t)
-    v_hat = state.v / (1 - b2 ** t)
-    state.params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    np.multiply(grad, 1 - b2, out=step)
+    state.v += np.multiply(step, grad, out=step)
+    np.divide(state.m, 1 - b1 ** t, out=step)
+    step *= config.learning_rate
+    np.divide(state.v, 1 - b2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += config.eps
+    step /= denom
+    state.params -= step
     return state
 
 

@@ -325,3 +325,54 @@ def test_ctgan_matches_inline_loop(table):
     assert_same_generator(model, oracle)
     assert_same_network(model.discriminator, oracle.discriminator)
     assert_close(model.sample(40, seed=9).X, oracle.sample(40, seed=9).X)
+
+
+# --- One stacked critic pass against two --------------------------------------
+
+def critic_gradients(mode, real, fake):
+    """The output gradients of a critic update on real and fake rows."""
+    b = len(real)
+    if mode == "wgan":
+        return np.full((b, 1), -1.0 / b), np.full((b, 1), 1.0 / b)
+    critic = build_discriminator(real.shape[1], mode, seed=0)
+    _, grad_r = bce_loss(forward(critic, real)[-1][:, 0], np.ones(b))
+    _, grad_f = bce_loss(forward(critic, fake)[-1][:, 0], np.zeros(b))
+    return grad_r[:, None], grad_f[:, None]
+
+
+@pytest.mark.parametrize("b", [1, 5, 37, 64])
+@pytest.mark.parametrize("mode", ["vanilla", "wgan"])
+def test_stacked_critic_pass_equals_two_passes(mode, b):
+    rng = np.random.default_rng(b)
+    critic = build_discriminator(12, mode, seed=b)
+    real, fake = rng.normal(size=(b, 12)), rng.random((b, 12))
+    grad_r, grad_f = critic_gradients(mode, real, fake)
+    acts = forward(critic, np.stack([real, fake]))
+    acts_r, acts_f = forward(critic, real), forward(critic, fake)
+    for both, r, f in zip(acts, acts_r, acts_f, strict=True):
+        np.testing.assert_array_equal(both[0], r)
+        np.testing.assert_array_equal(both[1], f)
+    g, grad_in = backward(critic, acts, np.stack([grad_r, grad_f]))
+    g_r, grad_in_r = backward(critic, acts_r, grad_r)
+    g_f, grad_in_f = backward(critic, acts_f, grad_f)
+    np.testing.assert_array_equal(g, g_r + g_f)
+    np.testing.assert_array_equal(grad_in[0], grad_in_r)
+    np.testing.assert_array_equal(grad_in[1], grad_in_f)
+
+
+@pytest.mark.parametrize("b", [16, 37])
+def test_stacked_wgan_gradient_cancels_exactly(b):
+    # real and fake rows alike: each half's gradient is the other's negation,
+    # so their sum is exactly zero, and Adam then leaves the critic in place
+    rows = np.random.default_rng(4).normal(size=(b, 12))
+    critic = build_discriminator(12, "wgan", seed=4)
+    grad_r, grad_f = critic_gradients("wgan", rows, rows)
+    g, _ = backward(critic, forward(critic, np.stack([rows, rows])),
+                    np.stack([grad_r, grad_f]))
+    acts = forward(critic, rows)
+    np.testing.assert_array_equal(g, backward(critic, acts, grad_r)[0]
+                                  + backward(critic, acts, grad_f)[0])
+    assert not g.any()
+    before = critic.params.copy()
+    adam_step(critic, g, GanConfig().adam)
+    np.testing.assert_array_equal(critic.params, before)

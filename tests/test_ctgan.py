@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fingan import ctgan
 from fingan.ctgan import (
     EM_MAX_ITERS,
     EM_TOL,
@@ -369,7 +370,8 @@ class TestBatchedAgainstPerRow:
         init = [(np.random.default_rng(s), c) for s, c in zip(seeds, columns)]
         means = np.array([_kmeanspp_centers(c, k, r) for r, c in init])
         stds = np.array([np.full(k, max(c.std(), f)) for c, f in zip(columns, floors)])
-        weights, means, stds, histories = _fit_em(columns, means, stds, floors)
+        weights, means, stds, histories = _fit_em(columns, np.full(len(fitted), k),
+                                                  means, stds, floors)
         for r, (i, s) in enumerate(zip(fitted, seeds)):
             want = oracle_fit_em(X[:, i], k, floors[r], s)
             np.testing.assert_array_equal(weights[r], want[0])
@@ -378,6 +380,44 @@ class TestBatchedAgainstPerRow:
             assert histories[r] == want[3]
         if k > 1:
             assert len({len(h) for h in histories}) > 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_count_in_one_em_loop(self, seed, max_k=10):
+        # one fit per (column, k) for k = 1..10, components padded to 10
+        X = mixed_columns(seed)
+        fitted = [0, 1, 2, 4, 5, 6]
+        fits = [(i, k) for i in fitted for k in range(1, max_k + 1)]
+        floors = np.array([_sigma_floor(X[:, i]) for i, _ in fits])
+        counts = np.array([k for _, k in fits])
+        means, stds = np.zeros((len(fits), max_k)), np.ones((len(fits), max_k))
+        for r, (i, k) in enumerate(fits):
+            means[r, :k] = _kmeanspp_centers(X[:, i], k, np.random.default_rng(seed + i))
+            stds[r, :k] = max(X[:, i].std(), floors[r])
+        columns = np.ascontiguousarray(X[:, [i for i, _ in fits]].T)
+        weights, means, stds, histories = _fit_em(columns, counts, means, stds, floors)
+        for r, (i, k) in enumerate(fits):
+            want = oracle_fit_em(X[:, i], k, floors[r], seed + i)
+            np.testing.assert_array_equal(weights[r, :k], want[0])
+            np.testing.assert_array_equal(means[r, :k], want[1])
+            np.testing.assert_array_equal(stds[r, :k], want[2])
+            assert histories[r] == want[3], (i, k)
+        assert len({len(h) for h in histories}) > 1
+        assert max(len(h) for h in histories) == EM_MAX_ITERS
+
+    @pytest.mark.parametrize("max_modes", [3, 10])
+    def test_mode_normalizers_split_over_em_loops(self, monkeypatch, max_modes):
+        # with a budget of one fit per EM loop, every fit runs in a loop of
+        # its own, and the normalizers are still the one-column oracle's
+        X = mixed_columns(4)
+        seeds = [4 + j for j in range(X.shape[1])]
+        monkeypatch.setattr(ctgan, "EM_BLOCK_VALUES", 1)
+        got = fit_mode_normalizer(X, max_modes, seeds)
+        for j, norm in enumerate(got):
+            want = oracle_fit_mode_normalizer(X[:, j], max_modes, seeds[j])
+            np.testing.assert_array_equal(norm.weights, want.weights)
+            np.testing.assert_array_equal(norm.means, want.means)
+            np.testing.assert_array_equal(norm.stds, want.stds)
+            assert norm.loglik_history == want.loglik_history
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("max_modes", [1, 2, 5, 10])

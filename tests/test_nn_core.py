@@ -285,6 +285,98 @@ def test_flat_adam_matches_per_layer_update(clip):
     assert s.step == 5
 
 
+
+# --- The branch-free and in-place forms against the ones they replaced -------
+
+def sign_split_sigmoid(z):
+    """The sigmoid nn_core computed before its branch-free form."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def allocating_adam_step(state, grad, config):
+    """The adam_step nn_core made before it updated in its scratch rows."""
+    state.step += 1
+    t = state.step
+    b1, b2 = config.beta1, config.beta2
+    state.m *= b1
+    state.m += (1 - b1) * grad
+    state.v *= b2
+    state.v += (1 - b2) * grad * grad
+    m_hat = state.m / (1 - b1 ** t)
+    v_hat = state.v / (1 - b2 ** t)
+    state.params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+
+
+def signed_inputs(rng, shape=(64, 32)):
+    """Random signs and magnitudes, with +0.0, -0.0 and overflowing exp
+    arguments in the first row."""
+    z = rng.normal(scale=5.0, size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+    z[0, :6] = [0.0, -0.0, 0.0, -0.0, 800.0, -800.0]
+    return z
+
+
+def assert_bitwise_equal(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_sigmoid_matches_sign_split_form():
+    z = signed_inputs(np.random.default_rng(0), (1000, 7))
+    assert_bitwise_equal(nn_core.sigmoid(z), sign_split_sigmoid(z))
+    assert_bitwise_equal(nn_core.sigmoid(z[:, 0]), sign_split_sigmoid(z[:, 0]))
+
+
+@pytest.mark.parametrize("slope", [0.01, 0.2, 0.5, np.nextafter(1.0, 0.0)])
+def test_leaky_relu_matches_where_form(slope):
+    rng = np.random.default_rng(1)
+    layer = Layer(32, nn_core.LEAKY_RELU, slope)
+    z = signed_inputs(rng)
+    a = nn_core._activate(z, layer)
+    assert_bitwise_equal(a, np.where(z > 0, z, slope * z))
+    upstream = signed_inputs(rng)[::-1]
+    assert_bitwise_equal(nn_core._activation_grad(a, upstream, layer),
+                         upstream * np.where(a > 0, 1.0, slope))
+
+
+def test_adam_matches_allocating_form():
+    spec = NetworkSpec(6, (Layer(9, nn_core.LEAKY_RELU), Layer(1, nn_core.IDENTITY)))
+    got, want = init_network(spec, seed=7), init_network(spec, seed=7)
+    config = AdamConfig(learning_rate=0.01)
+    rng = np.random.default_rng(2)
+    for _ in range(8):
+        grad = rng.normal(size=spec.size) * 10.0 ** rng.integers(-12, 4, size=spec.size)
+        grad[::7], grad[1::7] = 0.0, -0.0
+        adam_step(got, grad, config)
+        allocating_adam_step(want, grad, config)
+        for name in ("params", "m", "v"):
+            assert_bitwise_equal(getattr(got, name), getattr(want, name))
+    assert got.step == want.step == 8
+
+
+def test_stacked_batches_run_as_separate_batches():
+    spec = NetworkSpec(5, (Layer(16, nn_core.LEAKY_RELU), Layer(8, nn_core.RELU),
+                           Layer(7, SEGMENTS)))
+    s = init_network(spec, seed=8)
+    rng = np.random.default_rng(3)
+    batches = rng.normal(size=(3, 37, 5))
+    upstream = rng.normal(size=(3, 37, 7))
+    acts = forward(s, batches)
+    grad, grad_in = backward(s, acts, upstream)
+    want = np.zeros(spec.size)
+    for i in range(3):
+        alone = forward(s, batches[i])
+        for layer, part in zip(acts, alone, strict=True):
+            np.testing.assert_array_equal(layer[i], part)
+        part_grad, part_in = backward(s, alone, upstream[i])
+        want += part_grad
+        np.testing.assert_array_equal(grad_in[i], part_in)
+    np.testing.assert_array_equal(grad, want)
+
 ACTIVATION_NAMES = [nn_core.RELU, nn_core.LEAKY_RELU, nn_core.SIGMOID,
                     nn_core.TANH, nn_core.SOFTMAX, nn_core.IDENTITY]
 plain_layers = st.builds(Layer, st.integers(1, 6), st.sampled_from(ACTIVATION_NAMES))
