@@ -9,6 +9,7 @@ The decision threshold is fixed at 0.5 throughout.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,37 +159,59 @@ def _n_features_to_try(d, max_features):
     return max(1, int(math.floor(math.log2(d)))) if d > 1 else 1
 
 
-def best_split(X, y, feature_subset, min_samples_leaf):
-    """Lowest weighted-Gini (feature, threshold); ties break on lowest
-    feature index then lowest threshold. Thresholds are midpoints between
-    consecutive distinct sorted values. Returns None if nothing qualifies.
+class Split(NamedTuple):
+    feature: int
+    threshold: float
+    score: float  # weighted Gini of the two sides
+    left: np.ndarray  # row indices with x[feature] <= threshold
+    right: np.ndarray
+    left_positives: int
 
-    Every boundary of every feature in the subset is scored in one 2-D
-    pass; the winner is the one a feature-major, threshold-ascending scan
-    keeps when a score must beat the best so far by more than 1e-15.
+
+def best_split(XT, y, rows, feature_subset, min_samples_leaf):
+    """Lowest weighted-Gini split of `rows`, or None if nothing qualifies.
+
+    `XT` holds one row per feature and `y` the 0/1 labels, both indexed by
+    `rows`. Ties break on lowest feature index then lowest threshold. A
+    threshold lies between consecutive distinct sorted values a < b: their
+    midpoint, or a where the midpoint rounds up to b (adjacent doubles) or
+    overflows, so that `x <= threshold` routes exactly the scored rows left.
+
+    Every boundary of every feature in the subset that leaves at least
+    `min_samples_leaf` rows on each side is scored in one 2-D pass; the
+    winner is the one a feature-major, threshold-ascending scan keeps when a
+    score must beat the best so far by more than 1e-15.
     """
-    feats = np.sort(np.fromiter(feature_subset, dtype=np.intp))
-    n = len(y)
-    cols = X[:, feats].T  # one row per feature
+    n = len(rows)
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf  # boundaries lo..hi-1
+    if lo >= hi:
+        return None
+    feats = np.sort(feature_subset)[:, None]
     # The sort need not be stable: a boundary lies between two distinct
     # values, so neither its prefix count nor its midpoint depends on the
     # order within a run of equal values.
-    order = np.argsort(cols, axis=1)
-    xs = np.take_along_axis(cols, order, axis=1)
-    pos_cum = np.cumsum(y[order], axis=1)
-    n_left = np.arange(1, n)  # boundary i splits after sorted index i
-    n_right = n - n_left
-    ok = ((xs[:, :-1] < xs[:, 1:])
-          & (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf))
+    sorted_rows = rows[np.argsort(XT[feats, rows], axis=1)]
+    xs = XT[feats, sorted_rows]
+    pos_cum = np.cumsum(y[sorted_rows], axis=1)
+    ok = xs[:, lo:hi] < xs[:, lo + 1:hi + 1]
     if not ok.any():
         return None
-    pl = pos_cum[:, :-1] / n_left
-    pr = (pos_cum[:, -1:] - pos_cum[:, :-1]) / n_right
+    n_left = np.arange(lo + 1, hi + 1)  # boundary i splits after sorted index i
+    n_right = n - n_left
+    pos_left = pos_cum[:, lo:hi]
+    pl = pos_left / n_left
+    pr = (pos_cum[:, -1:] - pos_left) / n_right
     scores = (n_left * 2 * pl * (1 - pl) + n_right * 2 * pr * (1 - pr)) / n
     scores = scores[ok]  # feature-major, thresholds ascending
     j = _first_best(scores)
-    f, i = divmod(int(np.flatnonzero(ok)[j]), n - 1)
-    return int(feats[f]), (xs[f, i] + xs[f, i + 1]) / 2.0, scores[j]
+    f, i = divmod(int(np.flatnonzero(ok)[j]), hi - lo)
+    i += lo
+    a, b = float(xs[f, i]), float(xs[f, i + 1])
+    t = (a + b) / 2.0
+    if not t < b:
+        t = a
+    return Split(int(feats[f, 0]), t, scores[j], sorted_rows[f, :i + 1],
+                 sorted_rows[f, i + 1:], int(pos_cum[f, i]))
 
 
 def _first_best(scores):
@@ -207,43 +230,61 @@ def _first_best(scores):
     return best
 
 
-def _grow(X, y, depth, params, rng):
-    node = TreeNode(proba=float(y.mean()) if len(y) else 0.0, n_samples=len(y))
-    if (
-        depth >= params.max_depth
-        or len(y) < params.min_samples_split
-        or y.min() == y.max()
-    ):
-        return node
-    d = X.shape[1]
+def _grow(XT, y, rows, params, rng):
+    """Grow one CART tree on `rows` depth-first, in preorder, left first.
+
+    A node holds row indices into `XT` and `y`; its row and positive counts
+    come from the parent's split (the root counts its own), so no node
+    copies the table or reduces its labels. A node is a leaf at
+    `max_depth`, below `min_samples_split` rows, when pure, when no split
+    qualifies, or when the best split does not lower the node's Gini
+    impurity by more than 1e-15. Each node that searches draws its feature
+    subset from `rng` first, in preorder.
+    """
+    d = XT.shape[0]
     k = _n_features_to_try(d, params.max_features)
-    if k >= d:
-        subset = range(d)
-    else:
-        subset = rng.choice(d, size=k, replace=False)
-    found = best_split(X, y, subset, params.min_samples_leaf)
-    if found is None:
-        return node
-    f, t, score = found
-    if score >= gini(y) - 1e-15:  # split must reduce impurity
-        return node
-    mask = X[:, f] <= t
-    node.feature = f
-    node.threshold = t
-    node.left = _grow(X[mask], y[mask], depth + 1, params, rng)
-    node.right = _grow(X[~mask], y[~mask], depth + 1, params, rng)
-    return node
+    every = np.arange(d)
+    root = TreeNode()
+    stack = [(root, rows, int(np.count_nonzero(y[rows])), 0)]
+    while stack:
+        node, rows, pos, depth = stack.pop()
+        n = len(rows)
+        p = pos / n
+        node.proba, node.n_samples = p, n
+        if depth >= params.max_depth or n < params.min_samples_split or pos in (0, n):
+            continue
+        subset = every if k >= d else rng.choice(d, size=k, replace=False)
+        split = best_split(XT, y, rows, subset, params.min_samples_leaf)
+        if split is None or split.score >= 2.0 * p * (1.0 - p) - 1e-15:
+            continue  # a split must reduce impurity
+        node.feature, node.threshold = split.feature, split.threshold
+        node.left, node.right = TreeNode(), TreeNode()
+        stack.append((node.right, split.right, pos - split.left_positives, depth + 1))
+        stack.append((node.left, split.left, split.left_positives, depth + 1))
+    return root
 
 
-def fit_tree(X, y, params=None, seed=0):
+def _tree_data(X, y):
+    """Features as a (d, n) array, one row per feature, and 0/1 labels."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if len(y) == 0:
         raise ValueError("empty training set")
-    params = params or TreeParams()
-    rng = np.random.default_rng(seed)
-    root = _grow(X, y, 0, params, rng)
-    return FittedClassifier("tree", X.shape[1], {"root": root, "tree_params": params})
+    if X.ndim != 2 or len(X) != len(y):
+        raise ValueError(f"X of shape {X.shape} does not hold one row per label")
+    if np.any((y != 0) & (y != 1)):
+        raise ValueError("tree labels must be 0 or 1")
+    return np.ascontiguousarray(X.T), y
+
+
+def _fit_tree_rows(XT, y, rows, params, seed):
+    root = _grow(XT, y, rows, params, np.random.default_rng(seed))
+    return FittedClassifier("tree", XT.shape[0], {"root": root, "tree_params": params})
+
+
+def fit_tree(X, y, params=None, seed=0):
+    XT, y = _tree_data(X, y)
+    return _fit_tree_rows(XT, y, np.arange(len(y)), params or TreeParams(), seed)
 
 
 def _tree_proba(root, X):
@@ -264,22 +305,18 @@ def _tree_proba(root, X):
 # --- random forest -------------------------------------------------------
 
 def fit_forest(X, y, params=None):
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if len(y) == 0:
-        raise ValueError("empty training set")
+    XT, y = _tree_data(X, y)
     params = params or ForestParams()
     n = len(y)
     trees = []
     for t in range(params.n_estimators):
         tree_seed = params.seed * 1_000_003 + t
         if params.bootstrap:
-            idx = np.random.default_rng(tree_seed).integers(0, n, size=n)
-            Xt, yt = X[idx], y[idx]
+            rows = np.random.default_rng(tree_seed).integers(0, n, size=n)
         else:
-            Xt, yt = X, y
-        trees.append(fit_tree(Xt, yt, params.tree, seed=tree_seed + 1))
-    return FittedClassifier("forest", X.shape[1],
+            rows = np.arange(n)
+        trees.append(_fit_tree_rows(XT, y, rows, params.tree, tree_seed + 1))
+    return FittedClassifier("forest", XT.shape[0],
                             {"trees": trees, "forest_params": params})
 
 

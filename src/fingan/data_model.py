@@ -180,8 +180,10 @@ def load_csv(path, schema):
             for c in schema.columns
             if c.kind == CATEGORICAL
         }
+        blank = []  # record numbers of blank lines, ascending
         for r, record in enumerate(reader):
-            if not record:  # a blank line
+            if not record:
+                blank.append(r)
                 continue
             if len(record) < len(header):
                 raise ShortRow(r, len(header), len(record))
@@ -206,7 +208,17 @@ def load_csv(path, schema):
 
     if not rows:
         raise EmptyFile(f"{path}: header only, no data rows")
-    return Table(schema, np.vstack(rows), np.array(labels, dtype=int))
+    X = np.vstack(rows)
+    bad = np.argwhere(~np.isfinite(X))  # float() takes "nan" and "inf"
+    if len(bad):
+        i, j = (int(v) for v in bad[0])
+        r = i  # data row i is record r once the blank lines before it count
+        for b in blank:
+            if b > r:
+                break
+            r += 1
+        raise UnparseableNumeric(r, schema.columns[j].name, str(X[i, j]))
+    return Table(schema, X, np.array(labels, dtype=int))
 
 
 @dataclass(frozen=True)

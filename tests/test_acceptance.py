@@ -222,7 +222,7 @@ def test_classifier_oracles():
     X = rng.integers(0, 5, size=(12, 3)).astype(float)
     y = rng.integers(0, 2, size=12)
     y[0] = 1 - y[0] if y.min() == y.max() else y[0]
-    got = best_split(X, y, range(3), min_samples_leaf=2)
+    got = best_split(X.T, y, np.arange(12), range(3), min_samples_leaf=2)
     oracle = None
     for f in range(3):
         vals = np.unique(X[:, f])

@@ -7,7 +7,10 @@ from fingan.classifiers import (
     FittedClassifier,
     ForestParams,
     MlpClfParams,
+    TreeNode,
     TreeParams,
+    _grow,
+    _n_features_to_try,
     best_split,
     fit_forest,
     fit_logistic,
@@ -79,6 +82,64 @@ def scalar_best_split(X, y, feature_subset, min_samples_leaf):
     if best is None:
         return None
     return best[1], best[2], best[0]
+
+
+def best_split_on(X, y, feature_subset, min_samples_leaf):
+    """best_split over every row of X, as (feature, threshold, score)."""
+    split = best_split(X.T, y, np.arange(len(y)), feature_subset, min_samples_leaf)
+    return None if split is None else tuple(split[:3])
+
+
+def reference_grow(X, y, depth, params, rng):
+    """Reference: the recursive grower that copied X[mask] and X[~mask] at
+    every node and reduced y there, before growth moved to row indices.
+    Same split search and RNG draws, so trees must match node for node."""
+    node = TreeNode(proba=float(y.mean()) if len(y) else 0.0, n_samples=len(y))
+    if (
+        depth >= params.max_depth
+        or len(y) < params.min_samples_split
+        or y.min() == y.max()
+    ):
+        return node
+    d = X.shape[1]
+    k = _n_features_to_try(d, params.max_features)
+    if k >= d:
+        subset = range(d)
+    else:
+        subset = rng.choice(d, size=k, replace=False)
+    found = best_split_on(X, y, subset, params.min_samples_leaf)
+    if found is None:
+        return node
+    f, t, score = found
+    if score >= gini(y) - 1e-15:  # split must reduce impurity
+        return node
+    mask = X[:, f] <= t
+    node.feature = f
+    node.threshold = t
+    node.left = reference_grow(X[mask], y[mask], depth + 1, params, rng)
+    node.right = reference_grow(X[~mask], y[~mask], depth + 1, params, rng)
+    return node
+
+
+def reference_fit_tree(X, y, params, rng):
+    return reference_grow(np.asarray(X, dtype=float), np.asarray(y, dtype=int),
+                          0, params, rng)
+
+
+def preorder(node):
+    """(feature, threshold, proba, n_samples) of every node, root first."""
+    out = [(node.feature, node.threshold, node.proba, node.n_samples)]
+    if not node.is_leaf:
+        out += preorder(node.left) + preorder(node.right)
+    return out
+
+
+def churn_like(n, seed):
+    """Churn-shaped numerics rounded to cents, so values tie."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n) < 0.2).astype(int)
+    X = rng.normal(size=(n, 12)) + y[:, None] * np.linspace(1.2, 0.0, 12)
+    return np.round(X * 20.0 + 50.0, 2), y
 
 
 def gradient_descent_logistic(X, y, l2, epochs=2000, lr=0.5):
@@ -185,7 +246,7 @@ class TestTree:
         y = rng.integers(0, 2, size=12)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        got = best_split(X, y, range(3), min_samples_leaf=2)
+        got = best_split_on(X, y, range(3), min_samples_leaf=2)
         want = exhaustive_best_split(X, y, min_leaf=2)
         if want is None:
             assert got is None
@@ -198,7 +259,7 @@ class TestTree:
         # feature 0 and feature 1 both split the labels perfectly
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = np.array([0, 0, 1, 1])
-        f, t, _ = best_split(X, y, range(2), min_samples_leaf=1)
+        f, t, _ = best_split_on(X, y, range(2), min_samples_leaf=1)
         assert f == 0
         assert t == pytest.approx(0.5)
 
@@ -220,7 +281,7 @@ class TestTree:
             y = rng.integers(0, 2, size=n)
             min_leaf = int(rng.integers(1, 6))
             subset = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
-            assert (best_split(X, y, subset, min_leaf)
+            assert (best_split_on(X, y, subset, min_leaf)
                     == scalar_best_split(X, y, subset, min_leaf))
 
     def test_near_tie_keeps_scan_order(self):
@@ -231,7 +292,7 @@ class TestTree:
         X = np.array([[4.0, 2.0], [4.0, 0.0], [0.0, 4.0],
                       [3.0, 3.0], [5.0, 5.0], [5.0, 3.0]])
         y = np.array([1, 0, 0, 1, 1, 0])
-        f, t, score = best_split(X, y, range(2), min_samples_leaf=1)
+        f, t, score = best_split_on(X, y, range(2), min_samples_leaf=1)
         assert (f, t, score) == scalar_best_split(X, y, range(2), 1)
         assert (f, t) == (0, 1.5)
         assert score == 0.4000000000000001
@@ -297,7 +358,6 @@ class TestTree:
 
     def test_log2_feature_budget(self):
         # with d=8 features, log2 gives 3 per split
-        from fingan.classifiers import _n_features_to_try
         assert _n_features_to_try(8, "log2") == 3
         assert _n_features_to_try(1, "log2") == 1
         assert _n_features_to_try(5, "all") == 5
@@ -309,6 +369,86 @@ class TestTree:
         a = fit_tree(X, y, seed=3).predict_proba(X)
         b = fit_tree(X, y, seed=3).predict_proba(X)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("table", ["churn", "mixed"])
+    @pytest.mark.parametrize("max_features", ["all", "log2"])
+    @pytest.mark.parametrize("max_depth, min_leaf, min_split",
+                             [(1, 10, 10), (20, 1, 2), (20, 10, 10), (6, 3, 7)])
+    def test_grower_equals_reference(self, table, max_features, max_depth,
+                                     min_leaf, min_split):
+        if table == "churn":
+            X, y = churn_like(400, seed=max_depth + min_leaf)
+        else:  # categorical columns as integer codes
+            t = mixed_imbalanced(300, 60, seed=min_leaf)
+            X, y = t.X, t.y
+        params = TreeParams(max_depth, min_leaf, min_split, max_features)
+        want_rng, got_rng = np.random.default_rng(5), np.random.default_rng(5)
+        want = reference_fit_tree(X, y, params, want_rng)
+        got = _grow(np.ascontiguousarray(X.T), y, np.arange(len(y)), params, got_rng)
+        assert preorder(got) == preorder(want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert not got.is_leaf
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_leaves_hold_the_rows_routed_to_them(self, seed):
+        # Route the training rows down the fitted tree: each leaf's stored
+        # n_samples and proba must be the count and positive share of the
+        # rows it receives, so the counts carried from each split are right.
+        X, y = churn_like(500, seed)
+        root = fit_tree(X, y, TreeParams(min_samples_leaf=2, min_samples_split=4),
+                        seed=seed).params["root"]
+        received = {}
+        for row, label in zip(X, y):
+            node = root
+            while not node.is_leaf:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            received.setdefault(id(node), (node, []))[1].append(label)
+        assert len(received) > 10
+        assert sum(len(labels) for _, labels in received.values()) == len(y)
+        for leaf, labels in received.values():
+            assert leaf.n_samples == len(labels)
+            assert leaf.proba == np.mean(labels)
+
+    def test_grows_deeper_than_the_recursion_limit(self):
+        # alternating labels on one sorted column peel one row per level
+        n = 1500
+        X = np.arange(n, dtype=float)[:, None]
+        y = np.arange(n) % 2
+        model = fit_tree(X, y, TreeParams(max_depth=n, min_samples_leaf=1,
+                                          min_samples_split=2, max_features="all"))
+        depth, node = 0, model.params["root"]
+        while not node.is_leaf:
+            node = node.left if node.right.is_leaf else node.right
+            depth += 1
+        assert depth == n - 1
+        np.testing.assert_array_equal(model.predict_proba(X), y)
+
+    def test_threshold_between_adjacent_doubles(self):
+        # the midpoint of a and the next double up rounds to b; x <= b would
+        # send every row left, so the threshold must be a
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        X = np.array([[a], [a], [b], [b]])
+        y = np.array([0, 0, 1, 1])
+        assert best_split_on(X, y, [0], 1)[:2] == (0, a)
+        model = fit_tree(X, y, TreeParams(min_samples_leaf=1, min_samples_split=2))
+        root = model.params["root"]
+        assert (root.threshold, root.left.n_samples, root.right.n_samples) == (a, 2, 2)
+        np.testing.assert_array_equal(model.predict_proba(X), y)
+
+    def test_threshold_does_not_overflow(self):
+        X = np.array([[1e308], [1e308], [1.5e308], [1.5e308]])
+        y = np.array([0, 0, 1, 1])
+        model = fit_tree(X, y, TreeParams(min_samples_leaf=1, min_samples_split=2))
+        assert model.params["root"].threshold == 1e308
+        np.testing.assert_array_equal(model.predict_proba(X), y)
+
+    @pytest.mark.parametrize("fit", [fit_tree, fit_forest])
+    def test_rejects_bad_training_data(self, fit):
+        with pytest.raises(ValueError, match="0 or 1"):
+            fit(np.zeros((4, 1)), np.array([0, 1, 2, 1]))
+        with pytest.raises(ValueError, match="one row per label"):
+            fit(np.zeros((5, 1)), np.array([0, 1, 0, 1]))
 
 
 class TestForest:
@@ -334,7 +474,6 @@ class TestForest:
     def test_hand_tallied_vote(self):
         # three stumps voting (1, 1, 0) -> majority 1; (0, 0, 1) -> 0
         def stump(direction):
-            from fingan.classifiers import TreeNode
             left = TreeNode(proba=0.0 if direction else 1.0, n_samples=1)
             right = TreeNode(proba=1.0 if direction else 0.0, n_samples=1)
             root = TreeNode(feature=0, threshold=0.0, left=left, right=right,
@@ -370,6 +509,21 @@ class TestForest:
         a = fit_forest(X, y, ForestParams(3, seed=1)).predict_proba(X)
         b = fit_forest(X, y, ForestParams(3, seed=1)).predict_proba(X)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("max_features", ["all", "log2"])
+    def test_trees_equal_reference(self, bootstrap, max_features):
+        X, y = churn_like(300, seed=11)
+        tp = TreeParams(max_depth=8, min_samples_leaf=3, min_samples_split=6,
+                        max_features=max_features)
+        forest = fit_forest(X, y, ForestParams(4, tp, bootstrap=bootstrap, seed=2))
+        for t, tree in enumerate(forest.params["trees"]):
+            tree_seed = 2 * 1_000_003 + t
+            idx = (np.random.default_rng(tree_seed).integers(0, len(y), size=len(y))
+                   if bootstrap else np.arange(len(y)))
+            want = reference_fit_tree(X[idx], y[idx], tp,
+                                      np.random.default_rng(tree_seed + 1))
+            assert preorder(tree.params["root"]) == preorder(want)
 
 
 class TestMlp:

@@ -82,6 +82,24 @@ class TestLoadCsv:
         assert exc.value.row == 0
         assert exc.value.col == "a"
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_numeric_rejected(self, tmp_path, cell):
+        # float() parses these; the record number counts the blank line
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,c,t\n1.5,x,p\n\n2.5,y,n\n{cell},z,p\n")
+        with pytest.raises(UnparseableNumeric) as exc:
+            load_csv(path, simple_schema())
+        assert (exc.value.row, exc.value.col) == (3, "a")
+
+    def test_first_non_finite_cell_reported(self, tmp_path):
+        table = mixed_imbalanced(50, 10, seed=3)
+        table.X[[7, 40], 1] = np.nan
+        path = tmp_path / "d.csv"
+        table_to_csv(table, path)
+        with pytest.raises(UnparseableNumeric) as exc:
+            load_csv(path, table.schema)
+        assert (exc.value.row, exc.value.col) == (7, table.schema.columns[1].name)
+
     def test_unknown_category(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,c,t\n1,w,p\n")
