@@ -47,7 +47,9 @@ from .ocsvm import (  # noqa: F401
 from .classifiers import (  # noqa: F401
     FittedClassifier,
     ForestParams,
+    LogisticParams,
     MlpClfParams,
+    SvmParams,
     TreeParams,
     fit_forest,
     fit_logistic,

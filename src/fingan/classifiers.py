@@ -15,8 +15,9 @@ import numpy as np
 
 from . import nn_core
 from .errors import SchemaMismatch
-from .nn_core import (AdamConfig, Layer, NetworkSpec, adam_step, backward, bce_loss, forward,
-                      init_network, sigmoid)
+from .nn_core import (Layer, NetworkSpec, adam_step, backward, bce_loss, forward, init_network,
+                      sigmoid)
+from .settings import check_at_least_1, check_fields
 
 MLP_HIDDEN_WIDTH = 16
 MLP_LEARNING_RATE = 0.001
@@ -30,34 +31,55 @@ class TreeParams:
     max_features: str = "log2"  # "log2" or "all"
 
     def __post_init__(self):
-        if min(self.max_depth, self.min_samples_leaf, self.min_samples_split) < 1:
-            raise ValueError("tree limits must be >= 1")
+        check_fields(self)
+        check_at_least_1(self, "max_depth", "min_samples_leaf", "min_samples_split")
         if self.max_features not in ("log2", "all"):
             raise ValueError(
                 f"max_features must be \"log2\" or \"all\", got {self.max_features!r}")
 
 
 @dataclass
-class ForestParams:
+class ForestParams(TreeParams):
+    """Every tree's settings, and the forest's own."""
+
     n_estimators: int = 100
-    tree: TreeParams = field(default_factory=TreeParams)
     bootstrap: bool = True
-    seed: int = 0
 
     def __post_init__(self):
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
+        super().__post_init__()
+        check_at_least_1(self, "n_estimators")
 
 
 @dataclass
 class MlpClfParams:
-    epochs: int = 200
+    epochs: int = 100
     batch_size: int = 32
-    seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size) < 1:
-            raise ValueError("mlp epochs and batch_size must be >= 1")
+        check_fields(self)
+        check_at_least_1(self, "epochs", "batch_size")
+
+
+@dataclass
+class LogisticParams:
+    l2: float = 1e-4  # penalty on the weights, not the bias
+
+    def __post_init__(self):
+        check_fields(self)
+        if not self.l2 >= 0:
+            raise ValueError(f"l2 must be >= 0, got {self.l2!r}")
+
+
+@dataclass
+class SvmParams:
+    C: float = 1.0
+    epochs: int = 2000
+
+    def __post_init__(self):
+        check_fields(self)
+        if not self.C > 0:
+            raise ValueError(f"C must be positive, got {self.C!r}")
+        check_at_least_1(self, "epochs")
 
 
 @dataclass
@@ -86,7 +108,7 @@ def _check_rows(model, X):
 NEWTON_MAX_STEPS = 100
 
 
-def fit_logistic(X, y, l2=0.0):
+def fit_logistic(X, y, params=None):
     """Damped Newton (IRLS) on `logistic_objective`, the bias unpenalized.
 
     Each step solves the Newton system for its minimum-norm solution, so a
@@ -98,6 +120,7 @@ def fit_logistic(X, y, l2=0.0):
     y = np.asarray(y, dtype=float)
     if len(np.unique(y)) < 2:
         raise ValueError("both classes must be present")
+    l2 = (params or LogisticParams()).l2
     n, d = X.shape
     A = np.column_stack([X, np.ones(n)])  # the bias is the last coefficient
     penalty = np.append(np.full(d, l2), 0.0)
@@ -304,25 +327,27 @@ def _tree_proba(root, X):
 
 # --- random forest -------------------------------------------------------
 
-def fit_forest(X, y, params=None):
+def fit_forest(X, y, params=None, seed=0):
+    """`n_estimators` trees, each grown with the forest's tree settings on a
+    bootstrap sample (or every row) from its own seed."""
     XT, y = _tree_data(X, y)
     params = params or ForestParams()
     n = len(y)
     trees = []
     for t in range(params.n_estimators):
-        tree_seed = params.seed * 1_000_003 + t
+        tree_seed = seed * 1_000_003 + t
         if params.bootstrap:
             rows = np.random.default_rng(tree_seed).integers(0, n, size=n)
         else:
             rows = np.arange(n)
-        trees.append(_fit_tree_rows(XT, y, rows, params.tree, tree_seed + 1))
+        trees.append(_fit_tree_rows(XT, y, rows, params, tree_seed + 1))
     return FittedClassifier("forest", XT.shape[0],
                             {"trees": trees, "forest_params": params})
 
 
 # --- MLP -----------------------------------------------------------------
 
-def fit_mlp_classifier(X, y, params=None):
+def fit_mlp_classifier(X, y, params=None, seed=0):
     """Two 16-wide ReLU layers into a sigmoid unit, Adam at 0.001, BCE."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -334,9 +359,8 @@ def fit_mlp_classifier(X, y, params=None):
         Layer(MLP_HIDDEN_WIDTH, nn_core.RELU),
         Layer(1, nn_core.SIGMOID),
     ))
-    net = init_network(spec, params.seed)
-    adam = AdamConfig(learning_rate=MLP_LEARNING_RATE)
-    rng = np.random.default_rng(params.seed)
+    net = init_network(spec, seed)
+    rng = np.random.default_rng(seed)
     n = len(y)
     for _ in range(params.epochs):
         order = rng.permutation(n)
@@ -345,7 +369,7 @@ def fit_mlp_classifier(X, y, params=None):
             acts = forward(net, X[idx])
             loss, grad = bce_loss(acts[-1][:, 0], y[idx])
             grad, _ = backward(net, acts, grad[:, None])
-            adam_step(net, grad, adam)
+            adam_step(net, grad, MLP_LEARNING_RATE)
     return FittedClassifier("mlp", X.shape[1], {"net": net})
 
 
@@ -356,7 +380,7 @@ def svm_objective(w, b, X, y_pm, C):
     return float(0.5 * (w @ w) + C * np.maximum(0.0, 1.0 - margins).mean())
 
 
-def fit_svm_linear(X, y, C=1.0, epochs=2000):
+def fit_svm_linear(X, y, params=None):
     """Hinge + L2 by full-batch subgradient descent with averaged iterates.
 
     Probabilities come from a Platt link p = sigmoid(a * m + c) on the
@@ -366,13 +390,15 @@ def fit_svm_linear(X, y, C=1.0, epochs=2000):
     y = np.asarray(y, dtype=int)
     if len(np.unique(y)) < 2:
         raise ValueError("both classes must be present")
+    params = params or SvmParams()
+    C = params.C
     y_pm = np.where(y == 1, 1.0, -1.0)
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0
     w_avg = np.zeros(d)
     b_avg = 0.0
-    for t in range(1, epochs + 1):
+    for t in range(1, params.epochs + 1):
         margins = y_pm * (X @ w + b)
         active = margins < 1.0
         gw = w - C * (y_pm[active][:, None] * X[active]).sum(axis=0) / n
@@ -384,7 +410,7 @@ def fit_svm_linear(X, y, C=1.0, epochs=2000):
         b_avg += (b - b_avg) / t
     w, b = w_avg, b_avg
 
-    link = fit_logistic((X @ w + b)[:, None], y)
+    link = fit_logistic((X @ w + b)[:, None], y, LogisticParams(l2=0.0))
     platt = (float(link.params["w"][0]), link.params["b"])
     return FittedClassifier("svm", d, {"w": w, "b": b, "platt": platt, "C": C})
 

@@ -127,40 +127,39 @@ class Rule:
 
 
 def extract_rules(tree_model):
-    """One rule per leaf, conditions in root-to-leaf order."""
+    """One rule per leaf, conditions in root-to-leaf order, leaves in
+    preorder (left first); an explicit stack, so depth is not bounded by
+    Python's recursion limit."""
     if tree_model.kind != "tree":
         raise NotATree(f"expected a tree classifier, got {tree_model.kind!r}")
     rules = []
-
-    def walk(node, path):
+    stack = [(tree_model.params["root"], ())]
+    while stack:
+        node, path = stack.pop()
         if node.is_leaf:
             label = 1 if node.proba >= 0.5 else 0
             conf = node.proba if label == 1 else 1.0 - node.proba
-            rules.append(Rule(tuple(path), label, node.n_samples, conf))
-            return
-        walk(node.left, path + [(node.feature, "<=", node.threshold)])
-        walk(node.right, path + [(node.feature, ">", node.threshold)])
-
-    walk(tree_model.params["root"], [])
+            rules.append(Rule(path, label, node.n_samples, conf))
+        else:
+            stack.append((node.right, path + ((node.feature, ">", node.threshold),)))
+            stack.append((node.left, path + ((node.feature, "<=", node.threshold),)))
     return rules
 
 
 def apply_rules(rules, X):
-    """Predict labels by firing the (unique) matching rule per row."""
+    """Predict labels by firing the (unique) matching rule per row; each
+    rule is one mask over all rows."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.empty(len(X), dtype=int)
-    for i, row in enumerate(X):
-        fired = None
-        for rule in rules:
-            ok = all(
-                (row[f] <= t) if op == "<=" else (row[f] > t)
-                for f, op, t in rule.antecedents
-            )
-            if ok:
-                if fired is not None:
-                    raise ValueError("rules are not mutually exclusive")
-                fired = rule
-        if fired is None:
-            raise ValueError("no rule fired; rules are not exhaustive")
-        out[i] = fired.label
+    fired = np.zeros(len(X), dtype=bool)
+    for rule in rules:
+        mask = np.ones(len(X), dtype=bool)
+        for f, op, t in rule.antecedents:
+            mask &= (X[:, f] <= t) if op == "<=" else (X[:, f] > t)
+        if np.any(fired & mask):
+            raise ValueError("rules are not mutually exclusive")
+        fired |= mask
+        out[mask] = rule.label
+    if not fired.all():
+        raise ValueError("no rule fired; rules are not exhaustive")
     return out

@@ -32,7 +32,6 @@ from .errors import (
     UnknownCondition,
 )
 from .nn_core import (
-    AdamConfig,
     Layer,
     NetworkSpec,
     adam_step,
@@ -43,6 +42,7 @@ from .nn_core import (
     glorot_uniform,
     init_network,
 )
+from .settings import check_at_least_1
 
 VANILLA = "vanilla"
 WGAN = "wgan"
@@ -192,15 +192,15 @@ class GanConfig:
     batch_size: int = 64
     latent_dim: int = 64
     max_modes: int = MAX_MODES  # Gaussian-mixture modes per CTGAN numeric column
-    adam: AdamConfig = field(default_factory=lambda: AdamConfig(learning_rate=2e-4))
+    learning_rate: float = 2e-4  # Adam's, for both networks
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in (VANILLA, WGAN, CTGAN):
             raise ValueError(f"unknown GAN mode {self.mode!r}")
-        for name in ("epochs", "batch_size", "latent_dim", "max_modes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        check_at_least_1(self, "epochs", "batch_size", "latent_dim", "max_modes")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
 
 
 def output_blocks(schema, mode, numeric=None):
@@ -324,10 +324,10 @@ def build_discriminator(input_dim, mode, seed):
     return init_network(NetworkSpec(input_dim, layers), seed)
 
 
-def generator_backward_step(gen, acts, grad_out, adam):
+def generator_backward_step(gen, acts, grad_out, learning_rate):
     """Backprop grad_out through the generator, then Adam-update it."""
     grad, _ = backward(gen, acts, grad_out)
-    adam_step(gen, grad, adam)
+    adam_step(gen, grad, learning_rate)
 
 
 @dataclass
@@ -478,7 +478,7 @@ def train_adversarial(gen, critic, rng, config, wasserstein, batches, draw_real,
                     loss_f, grad_f = bce_loss(score_f[:, 0], np.zeros(b))
                     d_loss, grad = loss_r + loss_f, np.stack([grad_r, grad_f])[:, :, None]
                 g, _ = backward(critic, acts, grad)
-                adam_step(critic, g, config.adam)
+                adam_step(critic, g, config.learning_rate)
                 if wasserstein:
                     clip_weights(critic, WGAN_CLIP)
 
@@ -500,7 +500,7 @@ def train_adversarial(gen, critic, rng, config, wasserstein, batches, draw_real,
             grad_fake = grad_in[:, :fake.shape[1]]
             if hot is not None:
                 g_loss += condition_loss(fake, hot, grad_fake)
-            generator_backward_step(gen, gen_acts, grad_fake, config.adam)
+            generator_backward_step(gen, gen_acts, grad_fake, config.learning_rate)
             if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
                 raise NonFiniteLoss(epoch, f"d={d_loss} g={g_loss}")
             d_losses.append(d_loss)

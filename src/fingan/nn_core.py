@@ -31,6 +31,7 @@ TANH = "tanh"
 IDENTITY = "identity"
 
 PROB_EPS = 1e-7  # clamp for log() arguments
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and eps
 
 
 @dataclass(frozen=True)
@@ -90,18 +91,6 @@ def unflatten(spec, flat):
         weights.append(flat[start:end].reshape(shape))
         biases.append(flat[end:end + shape[0]])
     return weights, biases
-
-
-@dataclass
-class AdamConfig:
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
 
 
 @dataclass
@@ -237,7 +226,7 @@ def backward(state, activations, loss_grad_at_output):
     return flat, grad
 
 
-def adam_step(state, grad, config):
+def adam_step(state, grad, learning_rate):
     """In-place Adam update with bias correction; returns the state.
 
     The step is learning_rate * m_hat / (sqrt(v_hat) + eps), evaluated in
@@ -247,7 +236,7 @@ def adam_step(state, grad, config):
         raise NonFiniteGradient("gradient contains NaN or Inf")
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     step, denom = state.scratch
     state.m *= b1
     state.m += np.multiply(grad, 1 - b1, out=step)
@@ -255,10 +244,10 @@ def adam_step(state, grad, config):
     np.multiply(grad, 1 - b2, out=step)
     state.v += np.multiply(step, grad, out=step)
     np.divide(state.m, 1 - b1 ** t, out=step)
-    step *= config.learning_rate
+    step *= learning_rate
     np.divide(state.v, 1 - b2 ** t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += config.eps
+    denom += ADAM_EPS
     step /= denom
     state.params -= step
     return state

@@ -9,15 +9,16 @@ balancing are always fit on the training side of a split only.
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import get_args
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .classifiers import (
     ForestParams,
+    LogisticParams,
     MlpClfParams,
+    SvmParams,
     TreeParams,
     fit_forest,
     fit_logistic,
@@ -45,35 +46,15 @@ from .gan import (
     synthetic_count,
     train_gan,
 )
-from .nn_core import AdamConfig
 from .ocsvm import KernelSpec, encode_for_kernel, undersample_majority
+from .settings import TOP_LEVEL, check_fields, parse_settings
 
 OVERSAMPLERS = ("none", "gan", "wgan", "ctgan")
 SPLIT_MODES = ("holdout", "kfold")
 ENCODED_KINDS = ("logistic", "mlp", "svm")  # need standardized one-hot inputs
-
-
-# the JSON types a setting takes, by its declared type
-JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-              float: ((int, float), "a number"), str: ((str,), "a string"),
-              dict: ((dict,), "an object"), list: ((list,), "a list")}
-
-
-def _check_type(where, key, value, declared):
-    """Reject value unless it has a JSON type of declared, a type or a union
-    of types such as float | str."""
-    wanted = [JSON_TYPES[t] for t in get_args(declared) or (declared,)]
-    if not any(type(value) in types for types, _ in wanted):
-        raise ValueError(f"{where}: {key} must be "
-                         f"{' or '.join(name for _, name in wanted)}, got {value!r}")
-
-
-def _check_fields(settings, section):
-    """Type-check each field of a settings dataclass by its annotation; a
-    nested settings field checks its own."""
-    for f in fields(settings):
-        if not is_dataclass(f.type):
-            _check_type(section, f.name, getattr(settings, f.name), f.type)
+# Each classifier kind's settings: a spec's keys other than "kind" and "name"
+CLASSIFIER_PARAMS = {"logistic": LogisticParams, "tree": TreeParams, "forest": ForestParams,
+                     "mlp": MlpClfParams, "svm": SvmParams}
 
 
 @dataclass
@@ -85,14 +66,13 @@ class OcsvmSettings:
     coef0: float = 0.0
 
     def __post_init__(self):
-        _check_fields(self, "balancer.ocsvm")
+        check_fields(self)
         if not 0 < self.nu <= 1:
-            raise ValueError(f"balancer.ocsvm: nu must lie in (0, 1], got {self.nu!r}")
+            raise ValueError(f"nu must lie in (0, 1], got {self.nu!r}")
         try:  # KernelSpec checks the kernel kind and gamma ("auto" is 1/d, positive)
             KernelSpec(self.kernel, 1.0 if self.gamma == "auto" else float(self.gamma))
         except ValueError as exc:
-            raise ValueError(f"balancer.ocsvm: kernel {self.kernel!r}, gamma "
-                             f"{self.gamma!r}: {exc}") from None
+            raise ValueError(f"kernel {self.kernel!r}, gamma {self.gamma!r}: {exc}") from None
 
 
 @dataclass
@@ -107,17 +87,13 @@ class BalancerSettings:
     ocsvm: OcsvmSettings = field(default_factory=OcsvmSettings)
 
     def __post_init__(self):
-        _check_fields(self, "balancer")
+        check_fields(self)
         if self.oversampler not in OVERSAMPLERS:
             raise ValueError(f"unknown oversampler {self.oversampler!r}")
         if self.target != "parity" and not (
                 isinstance(self.target, int) and self.target >= 0):
-            raise ValueError(
-                f"balancer: target must be \"parity\" or an integer >= 0, got {self.target!r}")
-        try:
-            self.gan_config(seed=0)  # GanConfig and AdamConfig range-check the rest
-        except ValueError as exc:
-            raise ValueError(f"balancer: {exc}") from None
+            raise ValueError(f"target must be \"parity\" or an integer >= 0, got {self.target!r}")
+        self.gan_config(seed=0)  # GanConfig range-checks the rest
 
     def gan_config(self, seed):
         """The GanConfig that trains this balancer's oversampler ("gan", and
@@ -125,8 +101,7 @@ class BalancerSettings:
         return GanConfig(
             mode=self.oversampler if self.oversampler in (WGAN, CTGAN) else VANILLA,
             epochs=self.epochs, batch_size=self.batch_size, latent_dim=self.latent_dim,
-            max_modes=self.max_modes, adam=AdamConfig(learning_rate=self.learning_rate),
-            seed=seed)
+            max_modes=self.max_modes, learning_rate=self.learning_rate, seed=seed)
 
 
 @dataclass
@@ -136,7 +111,7 @@ class SplitSettings:
     k: int = 10
 
     def __post_init__(self):
-        _check_fields(self, "split")
+        check_fields(self)
         if self.mode not in SPLIT_MODES:
             raise ValueError(f"unknown split mode {self.mode!r}")
         if self.mode == "holdout" and not 0 < self.train_fraction < 1:
@@ -146,71 +121,46 @@ class SplitSettings:
             raise ValueError(f"k must be at least 2, got {self.k!r}")
 
 
-def _check_keys(section, d, allowed):
-    """Reject a section that is not an object or has a key outside allowed."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{section} must be an object, got {d!r}")
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {section} setting(s): {', '.join(map(repr, unknown))}")
+@dataclass
+class DatasetSettings:
+    csv: str = None  # both required: None fails the type check
+    schema: str = None
 
-
-def _check_section(section, d, declared):
-    """Reject a section unless it is an object whose keys are declared's and
-    whose values have their declared types."""
-    _check_keys(section, d, declared)
-    for key, value in d.items():
-        _check_type(section, key, value, declared[key])
-
-
-def _settings(cls, section, d):
-    """cls(**d), rejecting keys that are not fields of cls by name; a field
-    typed by a settings class is built the same way from its own object."""
-    _check_keys(section, d, {f.name for f in fields(cls)})
-    nested = {f.name: _settings(f.type, f"{section}.{f.name}", d[f.name])
-              for f in fields(cls) if is_dataclass(f.type) and f.name in d}
-    return cls(**{**d, **nested})
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
 class ExperimentConfig:
-    csv_path: str
-    schema_path: str
+    dataset: DatasetSettings
     split: SplitSettings = field(default_factory=SplitSettings)
     balancer: BalancerSettings = field(default_factory=BalancerSettings)
-    classifiers: list = field(default_factory=lambda: [{"kind": "forest"}])
+    classifiers: list = field(default_factory=lambda: [{"kind": "forest"}])  # specs as given
     seed: int = 0
     output_dir: str = "fingan-out"
 
+    def __post_init__(self):
+        check_fields(self)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+
     @classmethod
     def from_dict(cls, d):
-        _check_section("top-level", d, {"dataset": dict, "split": dict, "balancer": dict,
-                                        "classifiers": list, "seed": int, "output_dir": str})
-        dataset = {"csv": None, "schema": None, **d.get("dataset", {})}  # both required
-        _check_section("dataset", dataset, {"csv": str, "schema": str})
-        if d.get("seed", 0) < 0:
-            raise ValueError(f"top-level: seed must be >= 0, got {d['seed']!r}")
         env_seed = os.environ.get("FINGAN_SEED")  # overrides the config's seed
         if env_seed is not None and not env_seed.strip().isdecimal():
             raise ValueError(f"FINGAN_SEED must be an integer >= 0, got {env_seed!r}")
-        classifiers = d.get("classifiers", [{"kind": "forest"}])
-        if not classifiers:
+        config = parse_settings(cls, TOP_LEVEL, d)
+        if not config.classifiers:
             raise ValueError("at least one classifier is required")
-        for spec in classifiers:
-            _check_classifier(spec)
-        names = [_classifier_name(spec) for spec in classifiers]
+        for spec in config.classifiers:
+            classifier_params(spec)
+        names = [_classifier_name(spec) for spec in config.classifiers]
         for name in names:
             if names.count(name) > 1:
                 raise ValueError(f"two classifiers are named {name!r}; give each its own \"name\"")
-        return cls(
-            csv_path=dataset["csv"],
-            schema_path=dataset["schema"],
-            split=_settings(SplitSettings, "split", d.get("split", {})),
-            balancer=_settings(BalancerSettings, "balancer", d.get("balancer", {})),
-            classifiers=list(classifiers),
-            seed=d.get("seed", 0) if env_seed is None else int(env_seed),
-            output_dir=d.get("output_dir", "fingan-out"),
-        )
+        if env_seed is not None:
+            config.seed = int(env_seed)
+        return config
 
     @classmethod
     def from_json(cls, path):
@@ -219,14 +169,7 @@ class ExperimentConfig:
 
     def to_dict(self):
         """Fully materialized (defaults included) for self-describing reports."""
-        return {
-            "dataset": {"csv": self.csv_path, "schema": self.schema_path},
-            "split": asdict(self.split),
-            "balancer": asdict(self.balancer),
-            "classifiers": self.classifiers,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
+        return asdict(self)
 
 
 def train_oversampler(minority, balancer, seed):
@@ -286,72 +229,34 @@ def _classifier_name(spec):
     return spec.get("name", spec["kind"])
 
 
+def classifier_params(spec):
+    """The settings of a classifier spec: its kind's params, parsed from the
+    spec's keys other than "kind" and "name"."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"classifier {spec!r} must be an object with a \"kind\" key")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in CLASSIFIER_PARAMS:
+        raise ValueError(f"unknown classifier kind {kind!r}")
+    name = _classifier_name(spec)
+    if not isinstance(name, str):
+        raise ValueError(f"classifier {name!r}: name must be a string, got {name!r}")
+    options = {k: v for k, v in spec.items() if k not in ("kind", "name")}
+    return parse_settings(CLASSIFIER_PARAMS[kind], f"classifier {name!r}", options)
+
+
 def _features(spec, table, preprocess_params):
     if spec["kind"] in ENCODED_KINDS:
         return encode_for_kernel(table, preprocess_params)
     return table.X
 
 
-TREE_OPTIONS = {f.name: f.default for f in fields(TreeParams)}
-# The spec keys each classifier kind reads, with their defaults; every kind
-# also accepts "kind" and "name", and rejects any other key.
-CLASSIFIER_OPTIONS = {
-    "logistic": {"l2": 1e-4},
-    "tree": TREE_OPTIONS,
-    "forest": {**TREE_OPTIONS, "n_estimators": 100, "bootstrap": True},
-    "mlp": {"epochs": 100, "batch_size": 32},
-    "svm": {"C": 1.0, "epochs": 2000},
-}
-
-
-def _check_classifier(spec):
-    """Reject a classifier spec that is not an object of a known kind and
-    known keys, each value of its default's type and in range."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"classifier {spec!r} must be an object with a \"kind\" key")
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in CLASSIFIER_OPTIONS:
-        raise ValueError(f"unknown classifier kind {kind!r}")
-    options = CLASSIFIER_OPTIONS[kind]
-    _check_keys(f"{kind} classifier", spec, ("kind", "name", *options))
-    label = _classifier_name(spec)
-    for key, default in {"name": "", **options}.items():
-        if key in spec:
-            _check_type(f"classifier {label!r}", key, spec[key], type(default))
-    try:
-        _fit_call(spec, seed=0)  # the option values' own checks
-    except ValueError as exc:
-        raise ValueError(f"classifier {label!r}: {exc}") from None
-
-
-def _fit_call(spec, seed):
-    """The fit function for spec's kind and its keyword arguments, defaults
-    filled in."""
-    kind = spec["kind"]
-    o = {**CLASSIFIER_OPTIONS[kind], **spec}
-    if kind == "logistic":
-        if not o["l2"] >= 0:
-            raise ValueError(f"l2 must be >= 0, got {o['l2']!r}")
-        return fit_logistic, {"l2": o["l2"]}
-    if kind == "mlp":
-        return fit_mlp_classifier, {"params": MlpClfParams(
-            epochs=o["epochs"], batch_size=o["batch_size"], seed=seed)}
-    if kind == "svm":
-        if not o["C"] > 0:
-            raise ValueError(f"C must be positive, got {o['C']!r}")
-        if o["epochs"] < 1:
-            raise ValueError(f"epochs must be at least 1, got {o['epochs']!r}")
-        return fit_svm_linear, {"C": o["C"], "epochs": o["epochs"]}
-    tree = TreeParams(**{k: o[k] for k in TREE_OPTIONS})
-    if kind == "tree":
-        return fit_tree, {"params": tree, "seed": seed}
-    return fit_forest, {"params": ForestParams(
-        n_estimators=o["n_estimators"], tree=tree, bootstrap=o["bootstrap"], seed=seed)}
-
-
 def fit_classifier(spec, balanced, preprocess_params, seed):
-    fit, kwargs = _fit_call(spec, seed)
-    return fit(_features(spec, balanced, preprocess_params), balanced.y, **kwargs)
+    # looked up at each call, so that a rebound module name is the one called
+    fit = {"logistic": fit_logistic, "tree": fit_tree, "forest": fit_forest,
+           "mlp": fit_mlp_classifier, "svm": fit_svm_linear}[spec["kind"]]
+    seeded = () if spec["kind"] in ("logistic", "svm") else (seed,)
+    return fit(_features(spec, balanced, preprocess_params), balanced.y,
+               classifier_params(spec), *seeded)
 
 
 def predict_labels(spec, model, table, preprocess_params):
@@ -367,8 +272,8 @@ def run_experiment(config):
     the same config (the "timings" key aside).
     """
     t_start = time.time()
-    schema = Schema.from_json(config.schema_path)
-    table = load_csv(config.csv_path, schema)
+    schema = Schema.from_json(config.dataset.schema)
+    table = load_csv(config.dataset.csv, schema)
     holdout = config.split.mode == "holdout"
     report = {
         "config": config.to_dict(),

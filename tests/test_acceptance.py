@@ -16,6 +16,8 @@ from conftest import GAN_SEEDS, encode_samples, encoded_moments
 from fingan import nn_core
 from fingan.classifiers import (
     ForestParams,
+    LogisticParams,
+    SvmParams,
     TreeParams,
     best_split,
     fit_forest,
@@ -44,6 +46,7 @@ from fingan.gan import (CTGAN, DiscreteStats, decode_rows, draw_conditions,
 from fingan.ocsvm import KernelSpec, fit_ocsvm, kernel_matrix
 from fingan.pipeline import (
     BalancerSettings,
+    DatasetSettings,
     ExperimentConfig,
     OcsvmSettings,
     SplitSettings,
@@ -244,7 +247,7 @@ def test_classifier_oracles():
     Xs = np.vstack([rng.normal(0, 0.6, (20, 2)), rng.normal(1.5, 0.6, (20, 2))])
     ys = np.repeat([0, 1], 20)
     l2 = 0.5
-    lg = fit_logistic(Xs, ys, l2=l2)
+    lg = fit_logistic(Xs, ys, LogisticParams(l2))
     ref = minimize(lambda th: logistic_objective(th[:-1], th[-1], Xs, ys, l2),
                    np.zeros(3), method="BFGS")
     coef_err = max(np.abs(lg.params["w"] - ref.x[:-1]).max(),
@@ -253,7 +256,7 @@ def test_classifier_oracles():
            coef_err <= 1e-3, f"max coef err {coef_err:.2e}")
 
     y_pm = np.where(ys == 1, 1.0, -1.0)
-    sv = fit_svm_linear(Xs, ys, C=1.0, epochs=5000)
+    sv = fit_svm_linear(Xs, ys, SvmParams(C=1.0, epochs=5000))
     ref = minimize(lambda th: svm_objective(th[:-1], th[-1], Xs, y_pm, 1.0),
                    np.zeros(3), method="Powell",
                    options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": 20000})
@@ -264,9 +267,9 @@ def test_classifier_oracles():
 
     Xf = rng.normal(size=(120, 2))
     yf = (Xf[:, 0] + Xf[:, 1] > 0).astype(int)
-    tp = TreeParams(max_features="all")
-    forest = fit_forest(Xf, yf, ForestParams(1, tp, bootstrap=False, seed=4))
-    tree = fit_tree(Xf, yf, tp, seed=4 * 1_000_003 + 1)
+    forest = fit_forest(Xf, yf, ForestParams(max_features="all", n_estimators=1,
+                                             bootstrap=False), seed=4)
+    tree = fit_tree(Xf, yf, TreeParams(max_features="all"), seed=4 * 1_000_003 + 1)
     same = np.array_equal(forest.predict_proba(Xf), tree.predict_proba(Xf))
     report("forest(n=1, no bootstrap) is identical to a single tree", same)
 
@@ -311,7 +314,7 @@ def test_evaluation(tmp_path, monkeypatch):
         return original(spec, balanced, params, seed)
 
     monkeypatch.setattr(pipeline, "fit_classifier", spy)
-    run_experiment(ExperimentConfig(str(csv_path), str(schema_path),
+    run_experiment(ExperimentConfig(DatasetSettings(str(csv_path), str(schema_path)),
                                     split=SplitSettings(mode="kfold", k=3),
                                     classifiers=[{"kind": "tree"}],
                                     output_dir=str(tmp_path / "cv-out")))
@@ -366,8 +369,7 @@ def test_pipeline_toy_uplift():
                                ("gan", BalancerSettings(oversampler="gan",
                                                         epochs=60))):
             bal, _, _ = balance(train, settings, seed=seed)
-            forest = fit_forest(bal.X, bal.y,
-                                ForestParams(50, TreeParams(), seed=seed))
+            forest = fit_forest(bal.X, bal.y, ForestParams(n_estimators=50), seed=seed)
             aucs[name] = metrics(confusion(test.y, forest.predict(test.X))).auc
         uplifts.append(aucs["gan"] - aucs["none"])
     med = float(np.median(uplifts))
@@ -399,7 +401,7 @@ def _kfold_auc(stem, classifier_kind, oversampler, ocsvm_enabled, out_dir):
     """Mean 10-fold AUC of one classifier from a seed-0 run_experiment."""
     csv_path, schema_path = _public_paths(stem)
     config = ExperimentConfig(
-        csv_path, schema_path, split=SplitSettings(mode="kfold", k=10),
+        DatasetSettings(csv_path, schema_path), split=SplitSettings(mode="kfold", k=10),
         balancer=BalancerSettings(oversampler=oversampler, epochs=300,
                                   ocsvm=OcsvmSettings(enabled=ocsvm_enabled, nu=0.5)),
         classifiers=[{"kind": classifier_kind}], seed=0, output_dir=str(out_dir))

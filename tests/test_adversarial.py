@@ -77,16 +77,17 @@ def generator_forward(trunk, heads, z):
     return trunk_acts, head_acts, out
 
 
-def generator_backward_step(trunk, heads, blocks, trunk_acts, head_acts, grad_out, adam):
+def generator_backward_step(trunk, heads, blocks, trunk_acts, head_acts, grad_out,
+                            learning_rate):
     """Backprop grad_out through heads and trunk, then Adam-update all parts."""
     grad_h = np.zeros_like(trunk_acts[-1])
     for head, acts, block in zip(heads, head_acts, blocks):
         sl = slice(block.offset, block.offset + block.width)
         grad, gin = backward(head, acts, grad_out[:, sl])
-        adam_step(head, grad, adam)
+        adam_step(head, grad, learning_rate)
         grad_h += gin
     grad, _ = backward(trunk, trunk_acts, grad_h)
-    adam_step(trunk, grad, adam)
+    adam_step(trunk, grad, learning_rate)
 
 
 def fuse(trunk, heads):
@@ -125,7 +126,7 @@ def oracle_vanilla_disc_step(disc, trunk, heads, real_batch, b, config, rng):
     acts_f = forward(disc, fake)
     loss_f, grad_f = bce_loss(acts_f[-1][:, 0], np.zeros(b))
     g_f, _ = backward(disc, acts_f, grad_f[:, None])
-    adam_step(disc, g_r + g_f, config.adam)
+    adam_step(disc, g_r + g_f, config.learning_rate)
     return loss_r + loss_f
 
 
@@ -136,7 +137,7 @@ def oracle_vanilla_gen_step(disc, trunk, heads, blocks, b, config, rng):
     loss, grad = bce_loss(acts_d[-1][:, 0], np.ones(b))
     _, grad_fake = backward(disc, acts_d, grad[:, None])
     generator_backward_step(trunk, heads, blocks, trunk_acts, head_acts,
-                            grad_fake, config.adam)
+                            grad_fake, config.learning_rate)
     return loss
 
 
@@ -151,7 +152,7 @@ def oracle_wgan_critic_steps(disc, trunk, heads, real, b, config, rng):
         loss = float(acts_f[-1].mean() - acts_r[-1].mean())
         g_r, _ = backward(disc, acts_r, np.full((b, 1), -1.0 / b))
         g_f, _ = backward(disc, acts_f, np.full((b, 1), 1.0 / b))
-        adam_step(disc, g_r + g_f, config.adam)
+        adam_step(disc, g_r + g_f, config.learning_rate)
         clip_weights(disc, WGAN_CLIP)
     return loss
 
@@ -163,7 +164,7 @@ def oracle_wgan_gen_step(disc, trunk, heads, blocks, b, config, rng):
     loss = float(-acts_d[-1].mean())
     _, grad_fake = backward(disc, acts_d, np.full((b, 1), -1.0 / b))
     generator_backward_step(trunk, heads, blocks, trunk_acts, head_acts,
-                            grad_fake, config.adam)
+                            grad_fake, config.learning_rate)
     return loss
 
 
@@ -250,7 +251,7 @@ def oracle_train_ctgan(minority, config):
                 c_loss = float(acts_f[-1].mean() - acts_r[-1].mean())
                 g_r, _ = backward(critic, acts_r, np.full((b, 1), -1.0 / b))
                 g_f, _ = backward(critic, acts_f, np.full((b, 1), 1.0 / b))
-                adam_step(critic, g_r + g_f, config.adam)
+                adam_step(critic, g_r + g_f, config.learning_rate)
                 clip_weights(critic, WGAN_CLIP)
 
             if conditioned:
@@ -267,7 +268,7 @@ def oracle_train_ctgan(minority, config):
             if conditioned:
                 g_loss += _condition_loss(fake, block_offset[cols] + cats, grad_fake)
             generator_backward_step(trunk, heads, blocks, trunk_acts,
-                                    head_acts, grad_fake, config.adam)
+                                    head_acts, grad_fake, config.learning_rate)
             c_losses.append(c_loss)
             g_losses.append(g_loss)
         c_hist.append(float(np.mean(c_losses)))
@@ -374,5 +375,5 @@ def test_stacked_wgan_gradient_cancels_exactly(b):
                                   + backward(critic, acts, grad_f)[0])
     assert not g.any()
     before = critic.params.copy()
-    adam_step(critic, g, GanConfig().adam)
+    adam_step(critic, g, GanConfig().learning_rate)
     np.testing.assert_array_equal(critic.params, before)

@@ -6,7 +6,9 @@ import pytest
 from fingan.classifiers import (
     FittedClassifier,
     ForestParams,
+    LogisticParams,
     MlpClfParams,
+    SvmParams,
     TreeNode,
     TreeParams,
     _grow,
@@ -184,7 +186,7 @@ class TestLogistic:
 
         X, y = separable(40, seed=1, gap=1.5)
         l2 = 0.5
-        model = fit_logistic(X, y, l2=l2)
+        model = fit_logistic(X, y, LogisticParams(l2))
 
         def obj(theta):
             return logistic_objective(theta[:-1], theta[-1], X, y, l2)
@@ -199,7 +201,7 @@ class TestLogistic:
     @pytest.mark.parametrize("fixture", [separable, encoded_mixed])
     def test_beats_gradient_descent_and_converges(self, fixture, l2):
         X, y = fixture()
-        model = fit_logistic(X, y, l2=l2)
+        model = fit_logistic(X, y, LogisticParams(l2))
         w, b = model.params["w"], model.params["b"]
         assert np.all(np.isfinite(w)) and np.isfinite(b)
         ours = logistic_objective(w, b, X, y, l2)
@@ -210,7 +212,7 @@ class TestLogistic:
     def test_constant_margins(self, margin):
         # a Platt link fitted on an all-equal margin column
         y = np.repeat([0, 1], [15, 5])
-        model = fit_logistic(np.full((20, 1), margin), y)
+        model = fit_logistic(np.full((20, 1), margin), y, LogisticParams(l2=0.0))
         np.testing.assert_allclose(model.predict_proba(np.full((1, 1), margin)), 0.25)
 
     def test_separable_accuracy(self):
@@ -456,9 +458,9 @@ class TestForest:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(120, 2))
         y = (X[:, 0] + X[:, 1] > 0).astype(int)
-        tp = TreeParams(max_features="all")
-        forest = fit_forest(X, y, ForestParams(1, tp, bootstrap=False, seed=4))
-        tree = fit_tree(X, y, tp, seed=4 * 1_000_003 + 1)
+        forest = fit_forest(X, y, ForestParams(max_features="all", n_estimators=1,
+                                               bootstrap=False), seed=4)
+        tree = fit_tree(X, y, TreeParams(max_features="all"), seed=4 * 1_000_003 + 1)
         np.testing.assert_array_equal(forest.predict_proba(X),
                                       tree.predict_proba(X))
 
@@ -467,7 +469,7 @@ class TestForest:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(80, 3))
         y = rng.integers(0, 2, 80)
-        forest = fit_forest(X, y, ForestParams(5, TreeParams(), seed=0))
+        forest = fit_forest(X, y, ForestParams(n_estimators=5), seed=0)
         per_tree = np.stack([t.predict_proba(X) for t in forest.params["trees"]])
         np.testing.assert_allclose(forest.predict_proba(X), per_tree.mean(axis=0))
 
@@ -489,8 +491,7 @@ class TestForest:
         rng = np.random.default_rng(17)
         X = rng.normal(size=(200, 4))
         y = (X[:, 0] - X[:, 1] + rng.normal(0, 0.8, 200) > 0).astype(int)
-        forest = fit_forest(X, y, ForestParams(5, TreeParams(min_samples_leaf=2),
-                                               seed=3))
+        forest = fit_forest(X, y, ForestParams(min_samples_leaf=2, n_estimators=5), seed=3)
         per_tree = np.array([[per_row_proba(t.params["root"], row) for row in X]
                              for t in forest.params["trees"]])
         np.testing.assert_array_equal(forest.predict_proba(X), per_tree.mean(axis=0))
@@ -506,8 +507,8 @@ class TestForest:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(60, 2))
         y = rng.integers(0, 2, 60)
-        a = fit_forest(X, y, ForestParams(3, seed=1)).predict_proba(X)
-        b = fit_forest(X, y, ForestParams(3, seed=1)).predict_proba(X)
+        a = fit_forest(X, y, ForestParams(n_estimators=3), seed=1).predict_proba(X)
+        b = fit_forest(X, y, ForestParams(n_estimators=3), seed=1).predict_proba(X)
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("bootstrap", [True, False])
@@ -516,7 +517,8 @@ class TestForest:
         X, y = churn_like(300, seed=11)
         tp = TreeParams(max_depth=8, min_samples_leaf=3, min_samples_split=6,
                         max_features=max_features)
-        forest = fit_forest(X, y, ForestParams(4, tp, bootstrap=bootstrap, seed=2))
+        forest = fit_forest(X, y, ForestParams(**vars(tp), n_estimators=4,
+                                               bootstrap=bootstrap), seed=2)
         for t, tree in enumerate(forest.params["trees"]):
             tree_seed = 2 * 1_000_003 + t
             idx = (np.random.default_rng(tree_seed).integers(0, len(y), size=len(y))
@@ -531,7 +533,7 @@ class TestMlp:
         rng = np.random.default_rng(0)
         X = rng.uniform(-1, 1, (200, 2))
         y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(int)
-        model = fit_mlp_classifier(X, y, MlpClfParams(epochs=400, seed=0))
+        model = fit_mlp_classifier(X, y, MlpClfParams(epochs=400), seed=0)
         assert (model.predict(X) == y).mean() >= 0.95
 
     def test_probability_range(self):
@@ -557,7 +559,7 @@ class TestSvm:
         X, y = separable(40, seed=12, gap=2.0)
         y_pm = np.where(y == 1, 1.0, -1.0)
         C = 1.0
-        model = fit_svm_linear(X, y, C=C, epochs=5000)
+        model = fit_svm_linear(X, y, SvmParams(C=C, epochs=5000))
 
         def obj(theta):
             return svm_objective(theta[:-1], theta[-1], X, y_pm, C)

@@ -8,6 +8,7 @@ from fingan.errors import LengthMismatch, NotATree, UndefinedMetric
 from fingan.evaluation import (
     T_CRITICAL,
     ConfusionCounts,
+    Rule,
     apply_rules,
     confusion,
     extract_rules,
@@ -169,6 +170,28 @@ class TestRules:
         # exactly one rule fires per row, and replay matches the tree
         np.testing.assert_array_equal(apply_rules(rules, probe),
                                       model.predict(probe))
+
+    def test_rules_of_a_tree_deeper_than_the_recursion_limit(self):
+        # sorted rows with alternating labels grow a chain about 2,400 deep
+        X = np.arange(2400.0)[:, None]
+        y = np.arange(2400) % 2
+        model = fit_tree(X, y, TreeParams(max_depth=5000, min_samples_leaf=1,
+                                          min_samples_split=2, max_features="all"))
+        rules = extract_rules(model)
+        # one pure single-row leaf per row, in preorder: left (smaller x) first
+        assert [r.label for r in rules] == y.tolist()
+        assert all(r.support == 1 and r.confidence == 1.0 for r in rules)
+        assert max(len(r.antecedents) for r in rules) > 1000
+
+    def test_apply_rules_rejects_overlapping_and_missing_rules(self):
+        low = Rule(((0, "<=", 0.5),), 0, 1, 1.0)
+        high = Rule(((0, ">", 0.5),), 1, 1, 1.0)
+        X = np.array([[0.0], [1.0]])
+        np.testing.assert_array_equal(apply_rules([low, high], X), [0, 1])
+        with pytest.raises(ValueError, match="not mutually exclusive"):
+            apply_rules([low, high, Rule((), 1, 2, 0.5)], X)
+        with pytest.raises(ValueError, match="not exhaustive"):
+            apply_rules([low], X)
 
     def test_rejects_non_tree(self):
         with pytest.raises(NotATree):

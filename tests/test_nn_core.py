@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fingan import nn_core
 from fingan.errors import NonFiniteGradient, NonFiniteInput, ShapeMismatch
 from fingan.nn_core import (
-    AdamConfig,
     Layer,
     NetworkSpec,
     adam_step,
@@ -216,8 +215,7 @@ class TestAdam:
         spec = NetworkSpec(1, (Layer(1, nn_core.IDENTITY),))
         s = init_network(spec, seed=0)
         w0 = s.weights[0].copy()
-        cfg = AdamConfig(learning_rate=0.01)
-        adam_step(s, np.array([1.0, 0.0]), cfg)
+        adam_step(s, np.array([1.0, 0.0]), 0.01)
         delta = s.weights[0][0, 0] - w0[0, 0]
         # first step: m_hat = g, v_hat = g^2 -> delta = -lr * g/(|g| + eps)
         assert delta == pytest.approx(-0.01, rel=1e-6)
@@ -226,7 +224,7 @@ class TestAdam:
         spec = NetworkSpec(2, (Layer(2, nn_core.RELU),))
         s = init_network(spec, seed=1)
         w0 = [w.copy() for w in s.weights]
-        adam_step(s, np.zeros(6), AdamConfig())
+        adam_step(s, np.zeros(6), 0.001)
         for a, b in zip(w0, s.weights):
             np.testing.assert_array_equal(a, b)
         assert s.step == 1
@@ -237,20 +235,20 @@ class TestAdam:
         s1 = init_network(spec, seed=3)
         s2 = init_network(spec, seed=3)
         for s in (s1, s2):
-            adam_step(s, np.concatenate([g.ravel(), np.ones(2)]), AdamConfig())
+            adam_step(s, np.concatenate([g.ravel(), np.ones(2)]), 0.001)
         np.testing.assert_array_equal(s1.weights[0], s2.weights[0])
 
     def test_nonfinite_rejected(self):
         spec = NetworkSpec(1, (Layer(1, nn_core.IDENTITY),))
         s = init_network(spec, seed=0)
         with pytest.raises(NonFiniteGradient):
-            adam_step(s, np.array([np.nan, 0.0]), AdamConfig())
+            adam_step(s, np.array([np.nan, 0.0]), 0.001)
 
 
-def list_adam_step(params, moments, grads, t, config):
+def list_adam_step(params, moments, grads, t, learning_rate):
     """The per-layer Adam update nn_core made before its flat buffers: params,
     grads and each of the two moments are lists of arrays updated in place."""
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = nn_core.ADAM_BETA1, nn_core.ADAM_BETA2
     for p, g, m, v in zip(params, grads, *moments):
         m *= b1
         m += (1 - b1) * g
@@ -258,7 +256,7 @@ def list_adam_step(params, moments, grads, t, config):
         v += (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        p -= learning_rate * m_hat / (np.sqrt(v_hat) + nn_core.ADAM_EPS)
 
 
 @pytest.mark.parametrize("clip", [None, 0.05])
@@ -267,15 +265,14 @@ def test_flat_adam_matches_per_layer_update(clip):
     s = init_network(spec, seed=6)
     params = [a.copy() for a in s.weights + s.biases]
     moments = ([np.zeros_like(a) for a in params], [np.zeros_like(a) for a in params])
-    config = AdamConfig(learning_rate=0.01)
     rng = np.random.default_rng(0)
     for t in range(1, 6):
         grads = [rng.normal(size=a.shape) for a in params]
         n_layers = len(spec.layers)
         flat = np.concatenate([part.ravel() for i in range(n_layers)
                                for part in (grads[i], grads[n_layers + i])])
-        adam_step(s, flat, config)
-        list_adam_step(params, moments, grads, t, config)
+        adam_step(s, flat, 0.01)
+        list_adam_step(params, moments, grads, t, 0.01)
         if clip is not None:
             clip_weights(s, clip)
             for a in params:
@@ -298,18 +295,18 @@ def sign_split_sigmoid(z):
     return out
 
 
-def allocating_adam_step(state, grad, config):
+def allocating_adam_step(state, grad, learning_rate):
     """The adam_step nn_core made before it updated in its scratch rows."""
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = nn_core.ADAM_BETA1, nn_core.ADAM_BETA2
     state.m *= b1
     state.m += (1 - b1) * grad
     state.v *= b2
     state.v += (1 - b2) * grad * grad
     m_hat = state.m / (1 - b1 ** t)
     v_hat = state.v / (1 - b2 ** t)
-    state.params -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    state.params -= learning_rate * m_hat / (np.sqrt(v_hat) + nn_core.ADAM_EPS)
 
 
 def signed_inputs(rng, shape=(64, 32)):
@@ -346,13 +343,12 @@ def test_leaky_relu_matches_where_form(slope):
 def test_adam_matches_allocating_form():
     spec = NetworkSpec(6, (Layer(9, nn_core.LEAKY_RELU), Layer(1, nn_core.IDENTITY)))
     got, want = init_network(spec, seed=7), init_network(spec, seed=7)
-    config = AdamConfig(learning_rate=0.01)
     rng = np.random.default_rng(2)
     for _ in range(8):
         grad = rng.normal(size=spec.size) * 10.0 ** rng.integers(-12, 4, size=spec.size)
         grad[::7], grad[1::7] = 0.0, -0.0
-        adam_step(got, grad, config)
-        allocating_adam_step(want, grad, config)
+        adam_step(got, grad, 0.01)
+        allocating_adam_step(want, grad, 0.01)
         for name in ("params", "m", "v"):
             assert_bitwise_equal(getattr(got, name), getattr(want, name))
     assert got.step == want.step == 8
@@ -437,7 +433,7 @@ def test_serialization_round_trip():
     spec = NetworkSpec(3, (Layer(4, nn_core.LEAKY_RELU, 0.2), Layer(1, nn_core.SIGMOID)))
     s = init_network(spec, seed=13)
     for _ in range(3):
-        adam_step(s, np.random.default_rng(s.step).normal(size=spec.size), AdamConfig())
+        adam_step(s, np.random.default_rng(s.step).normal(size=spec.size), 0.001)
     d = json.loads(json.dumps(state_to_dict(s)))
     restored = state_from_dict(d)
     assert restored.spec == spec and restored.step == 3

@@ -1,18 +1,21 @@
 import json
 import os
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import fingan.ocsvm as ocsvm
 import fingan.pipeline as pipeline
+from fingan.classifiers import ForestParams, LogisticParams, MlpClfParams, SvmParams, TreeParams
 from fingan.data_model import Schema, fit_preprocess, stratified_kfold
 from fingan.errors import AuditMismatch, NonFiniteSample, SolverStallWarning
 from fingan.fixtures import mixed_imbalanced, table_to_csv
 from fingan.ocsvm import encode_for_kernel
 from fingan.pipeline import (
     BalancerSettings,
+    DatasetSettings,
     ExperimentConfig,
     OcsvmSettings,
     SplitSettings,
@@ -123,10 +126,10 @@ class TestConfig:
         d = {"dataset": {"csv": str(tmp_path / "absent.csv"),
                          "schema": str(tmp_path / "absent.schema.json")},
              "classifiers": [{"kind": "logistic"}, classifier]}
-        with pytest.raises(ValueError, match="max_features|epochs and batch_size|"
+        with pytest.raises(ValueError, match="max_features|"
                            "classifier 'tree' must be an object|unknown classifier kind|"
                            "classifier '(tree|mlp|forest|logistic|svm)': "
-                           "(max_depth|epochs|bootstrap|l2|C) must be"):
+                           "(max_depth|epochs|batch_size|bootstrap|l2|C) must be"):
             ExperimentConfig.from_dict(d)
 
     @pytest.mark.parametrize("section, key, d", [
@@ -136,13 +139,14 @@ class TestConfig:
          {"balancer": {"ocsvm": {"enabled": True, "epoch": 3}}}),
         ("top-level", "balancr", {"balancr": {"oversampler": "ctgan"}}),
         ("dataset", "sheet", {"dataset": {"sheet": 2}}),
-        ("tree classifier", "max_dept", {"classifiers": [{"kind": "tree", "max_dept": 3}]}),
-        ("logistic classifier", "epochs",
+        ("classifier 'tree'", "max_dept",
+         {"classifiers": [{"kind": "tree", "max_dept": 3}]}),
+        ("classifier 'logistic'", "epochs",
          {"classifiers": [{"kind": "logistic", "epochs": 2000, "lr": 0.5}]}),
-        ("logistic classifier", "lr", {"classifiers": [{"kind": "logistic", "lr": 0.5}]}),
-        ("forest classifier", "seed", {"classifiers": [{"kind": "forest", "seed": 1}]}),
-        ("mlp classifier", "l2", {"classifiers": [{"kind": "mlp", "l2": 0.1}]}),
-        ("svm classifier", "seed",
+        ("classifier 'logistic'", "lr", {"classifiers": [{"kind": "logistic", "lr": 0.5}]}),
+        ("classifier 'forest'", "seed", {"classifiers": [{"kind": "forest", "seed": 1}]}),
+        ("classifier 'mlp'", "l2", {"classifiers": [{"kind": "mlp", "l2": 0.1}]}),
+        ("classifier 's'", "seed",
          {"classifiers": [{"kind": "svm", "name": "s", "seed": 1}]}),
     ], ids=["split", "balancer", "balancer.ocsvm", "top-level", "dataset", "tree",
             "logistic-epochs", "logistic-lr", "forest", "mlp", "svm"])
@@ -154,7 +158,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kind", ["logistic", "tree", "forest", "mlp", "svm"])
     def test_every_classifier_option_accepted(self, kind):
-        spec = {"kind": kind, "name": kind, **pipeline.CLASSIFIER_OPTIONS[kind]}
+        spec = {"kind": kind, "name": kind, **asdict(pipeline.CLASSIFIER_PARAMS[kind]())}
         config = ExperimentConfig.from_dict(
             {"dataset": {"csv": "absent.csv", "schema": "absent.schema.json"},
              "classifiers": [spec]})
@@ -167,7 +171,7 @@ class TestConfig:
         for oversampler in ("gan", "wgan", "ctgan"):
             pipeline.train_oversampler(
                 None, BalancerSettings(oversampler=oversampler, learning_rate=0.003), 0)
-        assert [c.adam.learning_rate for c in seen] == [0.003] * 3
+        assert [c.learning_rate for c in seen] == [0.003] * 3
 
     @pytest.mark.parametrize("ocsvm", [
         {"nu": 1.0}, {"nu": 0.01, "kernel": "rbf", "gamma": 0.1},
@@ -194,7 +198,7 @@ class TestConfig:
         ("balancer.ocsvm: coef0 must be", {"balancer": {"ocsvm": {"coef0": "x"}}}),
         ("balancer.ocsvm: enabled must be", {"balancer": {"ocsvm": {"enabled": "no"}}}),
         ("balancer.ocsvm: gamma must be", {"balancer": {"ocsvm": {"gamma": True}}}),
-        ("balancer.ocsvm must be an object", {"balancer": {"ocsvm": [True]}}),
+        ("balancer: ocsvm must be an object", {"balancer": {"ocsvm": [True]}}),
         ("top-level: seed must be", {"seed": 1.7}),
         ("top-level: seed must be", {"seed": True}),
         ("top-level: seed must be", {"seed": -1}),
@@ -218,7 +222,13 @@ class TestConfig:
     def test_direct_construction_typed(self):
         for cls, key, value in ((SplitSettings, "k", 3.0),
                                 (BalancerSettings, "epochs", "3"),
-                                (OcsvmSettings, "enabled", 1)):
+                                (OcsvmSettings, "enabled", 1),
+                                (DatasetSettings, "csv", None),
+                                (TreeParams, "max_depth", "3"),
+                                (ForestParams, "bootstrap", 1),
+                                (MlpClfParams, "epochs", 2.0),
+                                (LogisticParams, "l2", "0.1"),
+                                (SvmParams, "C", True)):
             with pytest.raises(ValueError, match=f"{key} must be"):
                 cls(**{key: value})
 
@@ -432,10 +442,10 @@ class TestRunKfold:
         monkeypatch.setattr(pipeline, "fit_classifier", spy)
         run_experiment(config)
 
-        schema = Schema.from_json(config.schema_path)
+        schema = Schema.from_json(config.dataset.schema)
         from fingan.data_model import load_csv
 
-        loaded = load_csv(config.csv_path, schema)
+        loaded = load_csv(config.dataset.csv, schema)
         folds = stratified_kfold(loaded, 3, config.seed)
         assert len(seen) == 3
         for trained_rows, (_, valid) in zip(seen, folds):
