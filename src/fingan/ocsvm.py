@@ -19,9 +19,11 @@ at another point.
 Up to DENSE_KERNEL_BYTES (8 n^2 <= 64 MiB, n <= 2896) the fit holds one dense
 n x n float64 kernel and nothing else of that size. Above it the fit holds no
 n x n array: it evaluates K a in blocks of at most KERNEL_BLOCK_BYTES (and
-ROW_BLOCK rows), then only rows i and j in each sweep. There is no row cache:
-a cold-started fit reads almost every row once, and a warm-started one reads
-two rows in each of a few dozen sweeps.
+ROW_BLOCK rows), then only rows i and j in each sweep. Blocks and rows are
+written in place into one buffer of one block's size, so that block is the
+largest array the fit holds; decision_function scores in blocks the same
+way. There is no row cache: a cold-started fit reads almost every row once,
+and a warm-started one reads two rows in each of a few dozen sweeps.
 """
 
 import warnings
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import apply_preprocess
+from .data_model import apply_preprocess, fit_preprocess
 from .errors import SchemaMismatch, SolverStallWarning
 from .gan import VANILLA, encode_rows
 
@@ -41,9 +43,10 @@ KERNEL_KINDS = (SIGMOID, RBF, LINEAR)
 SV_TOL = 1e-8
 GAP_TOL = 1e-6
 MAX_SWEEPS = 100_000
-ROW_BLOCK = 256  # rows per temporary in kernel_matrix, and most per streamed block
+ROW_BLOCK = 256  # rows per mirrored block in kernel_matrix, and most per streamed block
+_SUM_ROWS = 16  # rows per rbf scratch sum aa_i + bb_j in kernel_matrix
 DENSE_KERNEL_BYTES = 64 * 2**20  # larger kernels are streamed, never held
-KERNEL_BLOCK_BYTES = 16 * 2**20  # most bytes of one streamed block
+KERNEL_BLOCK_BYTES = 16 * 2**20  # most bytes of the one reused streamed-block buffer
 
 
 @dataclass(frozen=True)
@@ -59,45 +62,51 @@ class KernelSpec:
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
 
 
-def kernel_matrix(spec, A, B=None, norms=None):
+def kernel_matrix(spec, A, B=None, norms=None, out=None):
     """The len(A) x len(B) kernel, built in place in one float64 array.
 
-    Beyond the result, the rbf path allocates one ROW_BLOCK x len(B)
-    temporary at a time. kernel_matrix(spec, A) is exactly symmetric, so a
+    out, if given, is a C-contiguous len(A) x len(B) float64 array that the
+    kernel is written into and that is returned; otherwise one is
+    allocated. Beyond the result, the rbf path allocates one _SUM_ROWS x
+    len(B) scratch array. kernel_matrix(spec, A) is exactly symmetric, so a
     row of it can stand for the column. norms, if given, is the pair of
     squared row norms of A and B, which only rbf reads.
     """
     symmetric = B is None
     B = A if symmetric else B
     if spec.kind == LINEAR:
-        return A @ B.T  # numpy runs A @ A.T as syrk, which writes both triangles alike
+        # numpy runs A @ A.T as syrk, which writes both triangles alike
+        return np.matmul(A, B.T, out=out)
     if spec.kind == SIGMOID:
-        K = A @ B.T
+        K = np.matmul(A, B.T, out=out)
         K *= spec.gamma
         K += spec.coef0
         return np.tanh(K, out=K)
     # (2A)B' rather than 2(AB'): AB' with B = A may run as syrk, whose
     # rounding differs from gemm's
-    K = (2 * A) @ B.T
-    np.negative(K, out=K)
+    K = np.matmul(2 * A, B.T, out=out)
     if norms is None:
         aa = (A * A).sum(axis=1)
         bb = aa if symmetric else (B * B).sum(axis=1)
     else:
         aa, bb = norms
-    n = K.shape[0]
-    for start in range(0, n, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, n)
+    n, m = K.shape
+    scratch = np.empty((min(_SUM_ROWS, n), m))
+    for start in range(0, n, _SUM_ROWS):
+        stop = min(start + _SUM_ROWS, n)
         first = start if symmetric else 0
         part = K[start:stop, first:]
         # each entry is (aa_i + bb_j) - 2ab_ij, rounded as written
-        part += aa[start:stop, None] + bb[None, first:]
+        np.subtract(np.add(aa[start:stop, None], bb[None, first:],
+                           out=scratch[:stop - start, first:]), part, out=part)
         np.maximum(part, 0.0, out=part)
         part *= -spec.gamma
         np.exp(part, out=part)
-        if symmetric:
-            # gemm can round (i, j) and (j, i) differently, so the lower
-            # triangle is copied from the upper one rather than computed
+    if symmetric:
+        # gemm can round (i, j) and (j, i) differently, so the lower
+        # triangle is copied from the upper one rather than computed
+        for start in range(0, n, ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, n)
             for left in range(0, start, ROW_BLOCK):
                 K[start:stop, left:left + ROW_BLOCK] = \
                     K[left:left + ROW_BLOCK, start:stop].T
@@ -138,7 +147,8 @@ def _kernel_operator(kernel, X):
     ROW_BLOCK rows, fewer if a block of n columns would pass
     KERNEL_BLOCK_BYTES. Each block, K[s:e, s:], is evaluated once and feeds
     both g[s:e] and, transposed as K[e:, s:e], g[e:]. rows(i, j) evaluates the
-    two rows it is asked for.
+    two rows it is asked for; they stay valid until the next call. Blocks and
+    rows are written in place into one buffer of one block's size.
     """
     n = X.shape[0]
     if 8 * n * n <= DENSE_KERNEL_BYTES:
@@ -147,19 +157,24 @@ def _kernel_operator(kernel, X):
         return (lambda alpha: K @ alpha), (lambda i, j: (K[i], K[j]))
     sq = (X * X).sum(axis=1)
     step = min(ROW_BLOCK, max(1, KERNEL_BLOCK_BYTES // (8 * n)))
+    # every block, and each sweep's two rows, is a contiguous view of buf:
+    # matmul into a strided slice of a 2-D buffer computes into a copy
+    buf = np.empty(max(step, 2) * n)
 
     def matvec(alpha):
         g = np.zeros(n)
         for s in range(0, n, step):
             e = min(s + step, n)
-            upper = kernel_matrix(kernel, X[s:e], X[s:], norms=(sq[s:e], sq[s:]))
+            upper = kernel_matrix(kernel, X[s:e], X[s:], norms=(sq[s:e], sq[s:]),
+                                  out=buf[:(e - s) * (n - s)].reshape(e - s, n - s))
             g[s:e] += upper @ alpha[s:]
             g[e:] += alpha[s:e] @ upper[:, e - s:]
         return g
 
     def rows(i, j):
         pair = [i, j]
-        K_pair = kernel_matrix(kernel, X[pair], X, norms=(sq[pair], sq))
+        K_pair = kernel_matrix(kernel, X[pair], X, norms=(sq[pair], sq),
+                               out=buf[:2 * n].reshape(2, n))
         return K_pair[0], K_pair[1]
 
     return matvec, rows
@@ -259,14 +274,30 @@ def fit_ocsvm(X, nu, kernel):
 
 
 def decision_function(model, rows):
-    """Score rows; >= 0 means inside the learned region."""
+    """Score rows; >= 0 means inside the learned region.
+
+    The support-vector kernel is evaluated a block of columns at a time in
+    one buffer of at most KERNEL_BLOCK_BYTES (at least 8 columns), each block
+    a multiple of 8 columns wide but the last. With one BLAS thread and a
+    multiple of 8 rows the scores are then the one-shot product's bit for
+    bit: gemm and gemv round a ragged tail of columns apart.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != model.X.shape[1]:
         raise SchemaMismatch(
             f"row width {rows.shape[1]} != training width {model.X.shape[1]}")
     sv = model.support_indices
-    Ksv = kernel_matrix(model.kernel, model.X[sv], rows)
-    return model.alpha[sv] @ Ksv - model.rho
+    A, weights = model.X[sv], model.alpha[sv]
+    m = rows.shape[0]
+    width = max(8, KERNEL_BLOCK_BYTES // (8 * len(sv)) // 8 * 8)
+    buf = np.empty(len(sv) * min(width, m))
+    scores = np.empty(m)
+    for s in range(0, m, width):
+        e = min(s + width, m)
+        block = kernel_matrix(model.kernel, A, rows[s:e],
+                              out=buf[:len(sv) * (e - s)].reshape(len(sv), e - s))
+        scores[s:e] = weights @ block
+    return scores - model.rho
 
 
 def default_gamma(dim):
@@ -289,8 +320,6 @@ def undersample_majority(train, nu, kind=SIGMOID, gamma="auto", coef0=0.0, param
     fitted OcsvmModel). Minority rows are untouched; merging is the
     pipeline's job.
     """
-    from .data_model import fit_preprocess
-
     majority = train.negatives()
     if majority.n_rows == 0 or train.n_positive == 0:
         raise ValueError("train must contain both classes")

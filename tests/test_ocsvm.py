@@ -123,6 +123,20 @@ def column_update_fit(X, nu, kernel, start=None):
     return alpha, float(g[margin].mean()), history
 
 
+def reference_matvec(kernel, X, alpha, step):
+    """K alpha summed as the streamed path sums it: each upper block
+    K[s:e, s:] from a fresh kernel_matrix, then its two gemvs."""
+    n = X.shape[0]
+    sq = (X * X).sum(axis=1)
+    g = np.zeros(n)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        upper = kernel_matrix(kernel, X[s:e], X[s:], norms=(sq[s:e], sq[s:]))
+        g[s:e] += upper @ alpha[s:]
+        g[e:] += alpha[s:e] @ upper[:, e - s:]
+    return g
+
+
 def fixture_rows(n_neg, seed):
     majority = mixed_imbalanced(n_neg, 10, seed=seed).negatives()
     return encode_for_kernel(majority, fit_preprocess(majority))
@@ -171,6 +185,24 @@ class TestKernelMatrix:
             tracemalloc.stop()
         assert K.shape == (1000, width)
         assert peak < 1.1 * K.nbytes + 8 * ROW_BLOCK * width
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("m", [None, 700])
+    def test_into_out_allocates_nothing_of_its_size(self, kernel, m):
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(1000, 6))
+        B = None if m is None else rng.normal(size=(m, 6))
+        out = np.empty((1000, 1000 if m is None else m))
+        tracemalloc.start()
+        try:
+            K = kernel_matrix(kernel, A, B, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert K is out
+        np.testing.assert_array_equal(K, kernel_matrix(kernel, A, B))
+        # test_traced_peak_is_one_kernel's bound without the kernel itself
+        assert peak < 8 * ROW_BLOCK * out.shape[1]
 
 
 class TestFit:
@@ -285,8 +317,8 @@ class TestStreamedPath:
         finally:
             tracemalloc.stop()
         assert not model.stalled
-        # one upper block and its rbf temporary, not the 72 MB kernel
-        assert peak < 3 * 8 * ROW_BLOCK * n
+        # one upper block and the fit's length-n vectors, not the 72 MB kernel
+        assert peak < 8 * ROW_BLOCK * n + 32 * 8 * n
 
     @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
     def test_blocks_sized_from_byte_budget(self, monkeypatch, kernel):
@@ -303,8 +335,25 @@ class TestStreamedPath:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(model.support_indices, reference.support_indices)
-        # a block and its rbf temporary, plus the fit's length-n vectors
-        assert peak < 2 * budget + 32 * 8 * n
+        # one block, plus the fit's length-n vectors
+        assert peak < budget + 32 * 8 * n
+
+    # 700 and 3000 rows are no multiple of ROW_BLOCK or of 8
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("n", [700, 3000])
+    @pytest.mark.parametrize("step", [ROW_BLOCK, 8])
+    def test_matvec_equals_reference(self, monkeypatch, kernel, n, step):
+        monkeypatch.setattr(ocsvm, "DENSE_KERNEL_BYTES", 0)
+        monkeypatch.setattr(ocsvm, "KERNEL_BLOCK_BYTES", 8 * step * n)
+        X = np.random.default_rng(n + step).normal(size=(n, 6))
+        matvec, rows = ocsvm._kernel_operator(kernel, X)
+        uniform = np.full(n, 1.0 / n)
+        warm = ocsvm._warm_start(reference_matvec(kernel, X, uniform, step), 0.5, 2.0 / n)
+        for alpha in (uniform, warm):
+            assert np.array_equal(matvec(alpha), reference_matvec(kernel, X, alpha, step))
+        for i, j in [(0, n - 1), (n - 5, 3)]:
+            K_i, K_j = rows(i, j)
+            assert np.array_equal(np.vstack([K_i, K_j]), kernel_matrix(kernel, X[[i, j]], X))
 
 
 @pytest.fixture(params=["dense", "streamed"])
@@ -380,6 +429,38 @@ class TestDecision:
         model = fit_ocsvm(X, 0.3, KernelSpec("rbf", 0.5))
         s = decision_function(model, np.vstack([X[4], X[4]]))
         assert s[0] == s[1]
+
+    # row counts are multiples of 8: BLAS rounds a ragged tail of columns
+    # apart in a one-shot product and in its last block
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("m, width", [(304, 16), (296, 24), (1000, 256), (8, 16)])
+    def test_blocked_scores_equal_one_shot(self, monkeypatch, kernel, m, width):
+        rng = np.random.default_rng(m + width)
+        model = fit_ocsvm(rng.normal(size=(60, 4)), 0.5, kernel)
+        rows = rng.normal(size=(m, 4))
+        sv = model.support_indices
+        one_shot = model.alpha[sv] @ kernel_matrix(kernel, model.X[sv], rows) - model.rho
+        monkeypatch.setattr(ocsvm, "KERNEL_BLOCK_BYTES", 8 * len(sv) * width)
+        assert np.array_equal(decision_function(model, rows), one_shot)
+
+    @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
+    def test_traced_peak_is_one_block(self, monkeypatch, kernel):
+        rng = np.random.default_rng(15)
+        model = fit_ocsvm(rng.normal(size=(600, 6)), 0.5, kernel)
+        rows = rng.normal(size=(5000, 6))
+        n_sv = len(model.support_indices)
+        budget = 8 * n_sv * 256  # 20 blocks of 256 columns
+        monkeypatch.setattr(ocsvm, "KERNEL_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            scores = decision_function(model, rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (5000,)
+        # one block, copies of the support vectors' rows, the length-m scores
+        # and the rbf scratch; two blocks would pass this bound
+        assert peak < budget + 4 * model.X[model.support_indices].nbytes + 4 * 8 * 5000
 
     def test_width_mismatch(self):
         X = np.random.default_rng(8).normal(size=(10, 3))
