@@ -1,6 +1,7 @@
 """Downstream classifier suite: logistic regression, CART tree, random
 forest, MLP, and a linear-kernel SVM, all behind one fit/predict_proba
-contract.
+contract. The SVM is solved exactly in its dual by `ocsvm.solve_pairwise`,
+the one-class SVM's solver.
 
 Logistic/SVM/MLP expect standardized + one-hot inputs; trees and forests
 consume raw numerics with integer-coded categoricals treated as ordered.
@@ -17,6 +18,7 @@ from . import nn_core
 from .errors import SchemaMismatch
 from .nn_core import (Layer, NetworkSpec, adam_step, backward, bce_loss, forward, init_network,
                       sigmoid)
+from .ocsvm import LINEAR, KernelSpec, _kernel_operator, solve_pairwise
 from .settings import check_at_least_1, check_fields
 
 MLP_HIDDEN_WIDTH = 16
@@ -73,13 +75,11 @@ class LogisticParams:
 @dataclass
 class SvmParams:
     C: float = 1.0
-    epochs: int = 2000
 
     def __post_init__(self):
         check_fields(self)
         if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C!r}")
-        check_at_least_1(self, "epochs")
 
 
 @dataclass
@@ -381,34 +381,22 @@ def svm_objective(w, b, X, y_pm, C):
 
 
 def fit_svm_linear(X, y, params=None):
-    """Hinge + L2 by full-batch subgradient descent with averaged iterates.
-
-    Probabilities come from a Platt link p = sigmoid(a * m + c) on the
-    training margins m, fitted by `fit_logistic` with l2 = 0.
-    """
+    """Hinge + L2 (`svm_objective`) at its optimum: `ocsvm.solve_pairwise`
+    minimizes the dual 1/2 b'XX'b - y'b over 0 <= y_i b_i <= C/n, sum b_i = 0
+    (b = y * alpha) from b = 0; w = X'b, and the intercept is minus the sum's
+    multiplier. Probabilities come from a Platt link p = sigmoid(a * m + c)
+    on the training margins m, fitted by `fit_logistic` with l2 = 0."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if len(np.unique(y)) < 2:
         raise ValueError("both classes must be present")
-    params = params or SvmParams()
-    C = params.C
-    y_pm = np.where(y == 1, 1.0, -1.0)
+    C = (params or SvmParams()).C
     n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    w_avg = np.zeros(d)
-    b_avg = 0.0
-    for t in range(1, params.epochs + 1):
-        margins = y_pm * (X @ w + b)
-        active = margins < 1.0
-        gw = w - C * (y_pm[active][:, None] * X[active]).sum(axis=0) / n
-        gb = -C * y_pm[active].sum() / n
-        lr = 1.0 / (1.0 + 0.01 * t)  # deterministic decaying schedule
-        w -= lr * gw
-        b -= lr * gb
-        w_avg += (w - w_avg) / t
-        b_avg += (b - b_avg) / t
-    w, b = w_avg, b_avg
+    _, rows = _kernel_operator(KernelSpec(LINEAR), X)
+    beta = np.zeros(n)  # so the gradient K beta - y starts at -y
+    lo, hi = np.where(y == 1, 0.0, -C / n), np.where(y == 1, C / n, 0.0)
+    _, _, multiplier = solve_pairwise(beta, np.where(y == 1, -1.0, 1.0), lo, hi, rows, 0.0)
+    w, b = X.T @ beta, -multiplier
 
     link = fit_logistic((X @ w + b)[:, None], y, LogisticParams(l2=0.0))
     platt = (float(link.params["w"][0]), link.params["b"])

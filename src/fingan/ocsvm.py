@@ -1,20 +1,20 @@
 """One-class SVM in the nu formulation; support vectors give the undersample.
 
-Solves min 1/2 a'Ka subject to 0 <= a_i <= C = 1/(nu n), sum a_i = 1 by
-pairwise most-violating coordinate transfers. The solver never inverts K, so
-the indefinite sigmoid kernel is tolerated; a stall flag guards
-non-convergence.
+Solves min 1/2 a'Ka subject to 0 <= a_i <= C = 1/(nu n), sum a_i = 1 with
+solve_pairwise, the most-violating-pair solver (Platt's SMO) that also fits
+the linear SVM in classifiers. It never inverts K, so the indefinite sigmoid
+kernel is tolerated; a stall flag guards non-convergence.
 
-The rbf fit starts where LIBSVM's one-class solver does: a_i = C on the
-floor(nu n) rows with the smallest (K 1/n)_i, the most outlying ones, and the
-rest of the unit sum on the next row. From the uniform start a = 1/n every
-alpha that ends at 0 has to fall in a sweep of its own, so that start takes at
-least (1 - nu) n sweeps; the warm one takes tens (45 instead of 3,257 on a
-6,480-row fit) and keeps the same support set up to rows that sit on the
-margin within GAP_TOL. Linear and sigmoid keep the uniform start. A linear
-kernel has rank <= d, so its optimal alpha is not unique and the support set
-depends on the start; the sigmoid kernel is indefinite, and a warm start ends
-at another point.
+Only the rbf one-class fit starts warm, where LIBSVM's one-class solver
+does: a_i = C on the floor(nu n) rows with the smallest (K 1/n)_i, the most
+outlying ones, and the rest of the unit sum on the next row. From the uniform
+start a = 1/n every alpha that ends at 0 has to fall in a sweep of its own, so
+that start takes at least (1 - nu) n sweeps; the warm one takes tens (45
+instead of 3,257 on a 6,480-row fit) and keeps the same support set up to rows
+that sit on the margin within GAP_TOL. Linear and sigmoid one-class fits keep
+the uniform start. A linear kernel has rank <= d, so its optimal alpha is not
+unique and the support set depends on the start; the sigmoid kernel is
+indefinite, and a warm start ends at another point.
 
 Up to DENSE_KERNEL_BYTES (8 n^2 <= 64 MiB, n <= 2896) the fit holds one dense
 n x n float64 kernel and nothing else of that size. Above it the fit holds no
@@ -58,8 +58,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel {self.kind!r}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
 
 
 def kernel_matrix(spec, A, B=None, norms=None, out=None):
@@ -110,9 +110,8 @@ def kernel_matrix(spec, A, B=None, norms=None, out=None):
             for left in range(0, start, ROW_BLOCK):
                 K[start:stop, left:left + ROW_BLOCK] = \
                     K[left:left + ROW_BLOCK, start:stop].T
-            diag = K[start:stop, start:stop]
-            lower = np.tril_indices(stop - start, -1)
-            diag[lower] = diag.T[lower]
+            for r in range(start + 1, stop):  # the diagonal block, row by row
+                K[r, start:r] = K[start:r, r]
     return K
 
 
@@ -173,9 +172,8 @@ def _kernel_operator(kernel, X):
 
     def rows(i, j):
         pair = [i, j]
-        K_pair = kernel_matrix(kernel, X[pair], X, norms=(sq[pair], sq),
-                               out=buf[:2 * n].reshape(2, n))
-        return K_pair[0], K_pair[1]
+        return kernel_matrix(kernel, X[pair], X, norms=(sq[pair], sq),
+                             out=buf[:2 * n].reshape(2, n))
 
     return matvec, rows
 
@@ -194,6 +192,68 @@ def _warm_start(g0, nu, C):
     if k < n and rest > 1e-15:
         alpha[order[k]] = rest
     return alpha
+
+
+def solve_pairwise(beta, g, lo, hi, rows, obj):
+    """Minimize 1/2 b'Kb + p'b over lo <= b <= hi with sum(b) fixed, from a
+    feasible beta with g = K beta + p and objective obj; beta and g change in
+    place. Each sweep moves the most violating pair i, j (rows(i, j) gives
+    K's rows) to its line minimum within the bounds, until the gap is below
+    GAP_TOL, or warns SolverStallWarning after MAX_SWEEPS sweeps.
+
+    Returns the objective before and after each sweep, the stall flag and
+    the multiplier of the sum: g's mean over the rows inside their bounds by
+    SV_TOL, else the midpoint of the optimality interval.
+    """
+    history = [obj]
+    # added to g before the arg-min (max): 0 where beta can rise (fall),
+    # +inf (-inf) where it sits at its bound; only beta_i and beta_j move
+    up = np.where(beta < hi - 1e-15, 0.0, np.inf)
+    down = np.where(beta > lo + 1e-15, 0.0, -np.inf)
+    masked = np.empty(len(beta))
+
+    stalled = False
+    while True:
+        i = int(np.argmin(np.add(g, up, out=masked)))
+        j = int(np.argmax(np.add(g, down, out=masked)))
+        if up[i] or down[j]:  # no beta can rise, or none can fall
+            break
+        gap = g[j] - g[i]
+        if gap < GAP_TOL:
+            break
+        if len(history) > MAX_SWEEPS:  # this is sweep len(history)
+            stalled = True
+            warnings.warn(f"pairwise solver hit {MAX_SWEEPS} sweeps with gap {gap:.3g}",
+                          SolverStallWarning)
+            break
+        lam_max = min(hi[i] - beta[i], beta[j] - lo[j])
+        K_i, K_j = rows(i, j)
+        d = K_i[i] + K_j[j] - 2 * K_i[j]
+        if d > 1e-15:
+            lam = min(gap / d, lam_max)
+        else:
+            # flat or concave direction: endpoint with lower objective
+            delta_at_max = -lam_max * gap + 0.5 * lam_max**2 * d
+            lam = lam_max if delta_at_max < 0 else 0.0
+        if lam <= 0:
+            break
+        beta[i] += lam
+        beta[j] -= lam
+        for k in (i, j):
+            up[k] = 0.0 if beta[k] < hi[k] - 1e-15 else np.inf
+            down[k] = 0.0 if beta[k] > lo[k] + 1e-15 else -np.inf
+        g += lam * (K_i - K_j)
+        obj += -lam * gap + 0.5 * lam * lam * d
+        history.append(obj)
+
+    free = (beta > lo + SV_TOL) & (beta < hi - SV_TOL)
+    if free.any():
+        return history, stalled, float(g[free].mean())
+    # fall back to the midpoint of the optimality interval
+    can_fall, can_rise = beta > lo + 1e-15, beta < hi - 1e-15
+    low = g[can_fall].max() if can_fall.any() else g.max()
+    high = g[can_rise].min() if can_rise.any() else g.min()
+    return history, stalled, float((low + high) / 2)
 
 
 def fit_ocsvm(X, nu, kernel):
@@ -215,61 +275,9 @@ def fit_ocsvm(X, nu, kernel):
     if kernel.kind == RBF:
         alpha = _warm_start(g, nu, C)
         g = matvec(alpha)
-    obj = 0.5 * float(alpha @ g)
-    history = [obj]
-    # added to g before the arg-min (max): 0 where alpha can rise (fall),
-    # +inf (-inf) where it sits at its bound; only alpha_i and alpha_j move
-    up = np.where(alpha < C - 1e-15, 0.0, np.inf)
-    down = np.where(alpha > 1e-15, 0.0, -np.inf)
-    masked = np.empty(n)
-
-    stalled = False
-    sweeps = 0
-    while True:
-        sweeps += 1
-        i = int(np.argmin(np.add(g, up, out=masked)))
-        j = int(np.argmax(np.add(g, down, out=masked)))
-        if up[i] or down[j]:  # no alpha can rise, or none can fall
-            break
-        gap = g[j] - g[i]
-        if gap < GAP_TOL:
-            break
-        if sweeps > MAX_SWEEPS:
-            stalled = True
-            warnings.warn(
-                f"pairwise solver hit {MAX_SWEEPS} sweeps with gap {gap:.3g}",
-                SolverStallWarning,
-            )
-            break
-        lam_max = min(C - alpha[i], alpha[j])
-        K_i, K_j = rows(i, j)
-        d = K_i[i] + K_j[j] - 2 * K_i[j]
-        if d > 1e-15:
-            lam = min(gap / d, lam_max)
-        else:
-            # flat or concave direction: endpoint with lower objective
-            delta_at_max = -lam_max * gap + 0.5 * lam_max**2 * d
-            lam = lam_max if delta_at_max < 0 else 0.0
-        if lam <= 0:
-            break
-        alpha[i] += lam
-        alpha[j] -= lam
-        for k in (i, j):
-            up[k] = 0.0 if alpha[k] < C - 1e-15 else np.inf
-            down[k] = 0.0 if alpha[k] > 1e-15 else -np.inf
-        g += lam * (K_i - K_j)
-        obj += -lam * gap + 0.5 * lam * lam * d
-        history.append(obj)
-
+    history, stalled, rho = solve_pairwise(alpha, g, np.zeros(n), np.full(n, C), rows,
+                                           0.5 * float(alpha @ g))
     support = np.flatnonzero(alpha > SV_TOL)
-    margin = np.flatnonzero((alpha > SV_TOL) & (alpha < C - SV_TOL))
-    if len(margin):
-        rho = float(g[margin].mean())
-    else:
-        # fall back to the midpoint of the optimality interval
-        lo = g[alpha > 1e-15].max() if (alpha > 1e-15).any() else g.max()
-        hi = g[alpha < C - 1e-15].min() if (alpha < C - 1e-15).any() else g.min()
-        rho = float((lo + hi) / 2)
     return OcsvmModel(alpha, rho, kernel, nu, X, support, stalled, history)
 
 

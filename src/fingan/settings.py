@@ -3,10 +3,11 @@
 A settings class is a dataclass whose fields are exactly the keys of its
 JSON object, with their defaults. Its ``__post_init__`` calls
 ``check_fields``, which rejects a value that has no JSON type of the
-field's annotation, and then checks ranges, so a settings object built
+field's annotation or is a non-finite float, and then checks ranges, so a settings object built
 directly is checked the same way as one parsed from JSON.
 """
 
+import math
 from dataclasses import fields, is_dataclass
 from typing import get_args
 
@@ -20,11 +21,13 @@ JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
 
 def check_type(key, value, declared):
     """Reject value unless it has a JSON type of declared, a type or a union
-    of types such as float | str."""
+    of types such as float | str, and a float unless it is finite."""
     wanted = [JSON_TYPES[t] for t in get_args(declared) or (declared,)]
     if not any(type(value) in types for types, _ in wanted):
         raise ValueError(f"{key} must be "
                          f"{' or '.join(name for _, name in wanted)}, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
 
 
 def check_fields(settings):

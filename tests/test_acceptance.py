@@ -256,7 +256,7 @@ def test_classifier_oracles():
            coef_err <= 1e-3, f"max coef err {coef_err:.2e}")
 
     y_pm = np.where(ys == 1, 1.0, -1.0)
-    sv = fit_svm_linear(Xs, ys, SvmParams(C=1.0, epochs=5000))
+    sv = fit_svm_linear(Xs, ys, SvmParams(C=1.0))
     ref = minimize(lambda th: svm_objective(th[:-1], th[-1], Xs, y_pm, 1.0),
                    np.zeros(3), method="Powell",
                    options={"xtol": 1e-10, "ftol": 1e-12, "maxiter": 20000})

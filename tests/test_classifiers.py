@@ -24,8 +24,9 @@ from fingan.classifiers import (
     logistic_objective,
     svm_objective,
 )
+import fingan.ocsvm as ocsvm
 from fingan.data_model import fit_preprocess
-from fingan.errors import SchemaMismatch
+from fingan.errors import SchemaMismatch, SolverStallWarning
 from fingan.fixtures import mixed_imbalanced
 from fingan.nn_core import sigmoid
 from fingan.ocsvm import encode_for_kernel
@@ -559,7 +560,7 @@ class TestSvm:
         X, y = separable(40, seed=12, gap=2.0)
         y_pm = np.where(y == 1, 1.0, -1.0)
         C = 1.0
-        model = fit_svm_linear(X, y, SvmParams(C=C, epochs=5000))
+        model = fit_svm_linear(X, y, SvmParams(C=C))
 
         def obj(theta):
             return svm_objective(theta[:-1], theta[-1], X, y_pm, C)
@@ -580,11 +581,40 @@ class TestSvm:
         assert p[y == 1].min() > 0.5
         assert p[y == 0].max() < 0.5
 
+    @pytest.mark.parametrize("C", [1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("n, seed, gap", [(40, 12, 2.0), (60, 5, 0.8)])
+    def test_primal_equals_dual_oracle(self, n, seed, gap, C):
+        """SLSQP on the dual max 1'a - 1/2 a'Qa, Q = yy' * XX', over
+        0 <= a <= C/n, y'a = 0, solved for u = a n / C in [0, 1]: at the
+        optimum the primal objective equals the dual's."""
+        from scipy.optimize import minimize
+
+        X, y = separable(n, seed=seed, gap=gap)
+        y_pm = np.where(y == 1, 1.0, -1.0)
+        scale = C / n
+        Q = scale * np.outer(y_pm, y_pm) * (X @ X.T)
+        ref = minimize(lambda u: 0.5 * u @ Q @ u - u.sum(), np.zeros(n),
+                       jac=lambda u: Q @ u - 1.0, method="SLSQP", bounds=[(0.0, 1.0)] * n,
+                       constraints={"type": "eq", "fun": lambda u: y_pm @ u,
+                                    "jac": lambda u: y_pm},
+                       options={"ftol": 1e-12, "maxiter": 1000})
+        assert ref.success
+        model = fit_svm_linear(X, y, SvmParams(C=C))
+        ours = svm_objective(model.params["w"], model.params["b"], X, y_pm, C)
+        assert ours == pytest.approx(-scale * ref.fun, rel=1e-6)
+
+    def test_stall_warned(self, monkeypatch):
+        monkeypatch.setattr(ocsvm, "MAX_SWEEPS", 1)
+        X, y = separable(40, seed=12, gap=2.0)
+        with pytest.warns(SolverStallWarning, match="hit 1 sweeps"):
+            fit_svm_linear(X, y, SvmParams(C=100.0))
+
     def test_label_flip_symmetry(self):
         X, y = separable(40, seed=15)
-        a = fit_svm_linear(X, y).params["w"]
-        b = fit_svm_linear(X, 1 - y).params["w"]
-        np.testing.assert_allclose(a, -b, atol=1e-9)
+        a = fit_svm_linear(X, y).params
+        b = fit_svm_linear(X, 1 - y).params
+        np.testing.assert_array_equal(a["w"], -b["w"])
+        assert a["b"] == -b["b"]
 
 
 def test_unknown_kind_rejected():

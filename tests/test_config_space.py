@@ -39,7 +39,7 @@ CLASSIFIER_TYPES = {
     "tree": TREE_TYPES,
     "forest": {**TREE_TYPES, "n_estimators": (int,), "bootstrap": (bool,)},
     "mlp": {"epochs": (int,), "batch_size": (int,)},
-    "svm": {"C": NUMBER, "epochs": (int,)},
+    "svm": {"C": NUMBER},
 }
 # a strategy for each JSON type
 JSON_VALUES = {
@@ -62,7 +62,7 @@ classifier_options = {
     "forest": {**tree_options, "n_estimators": st.integers(1, 3),
                "bootstrap": st.booleans()},
     "mlp": {"epochs": st.integers(1, 3), "batch_size": st.integers(1, 16)},
-    "svm": {"C": numbers, "epochs": st.integers(1, 30)},
+    "svm": {"C": numbers},
 }
 classifier = st.sampled_from(sorted(classifier_options)).flatmap(
     lambda kind: st.fixed_dictionaries(

@@ -186,6 +186,20 @@ class TestKernelMatrix:
         assert K.shape == (1000, width)
         assert peak < 1.1 * K.nbytes + 8 * ROW_BLOCK * width
 
+    def test_square_kernel_mirrored_in_place(self):
+        """Mirroring a diagonal block allocates nothing of the block's size,
+        so a 300-row dense rbf kernel (two diagonal blocks) peaks near its
+        own size: 1.21x, the rest being the rbf scratch rows and numpy's
+        ufunc buffers on strided views. A tril_indices gather peaked at 2.15x."""
+        A = np.random.default_rng(13).normal(size=(300, 6))
+        tracemalloc.start()
+        try:
+            K = kernel_matrix(KernelSpec("rbf", 0.3), A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * K.nbytes
+
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
     @pytest.mark.parametrize("m", [None, 700])
     def test_into_out_allocates_nothing_of_its_size(self, kernel, m):
@@ -504,6 +518,12 @@ class TestUndersample:
         table = mixed_imbalanced(30, 5, seed=8).negatives()
         with pytest.raises(ValueError):
             undersample_majority(table, 0.5)
+
+
+@pytest.mark.parametrize("gamma", [float("inf"), float("nan")])
+def test_kernel_spec_rejects_bad_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        KernelSpec("rbf", gamma)
 
 
 def test_kernel_encoding_keeps_standardized_values():

@@ -93,6 +93,8 @@ class TestConfig:
         {"ocsvm": {"gamma": "fast"}}, {"ocsvm": {"gamma": None}},
         {"learning_rate": -1.0}, {"learning_rate": 0.0}, {"max_modes": 0},
         {"target": "Parity"}, {"target": -1}, {"target": 2.5}, {"target": "10"},
+        json.loads('{"learning_rate": Infinity}'), json.loads('{"ocsvm": {"coef0": NaN}}'),
+        json.loads('{"ocsvm": {"gamma": Infinity}}'), {"ocsvm": {"gamma": "inf"}},
     ], ids=str)
     def test_bad_balancer_rejected_before_reading(self, tmp_path, balancer):
         d = {"dataset": {"csv": str(tmp_path / "absent.csv"),
@@ -120,7 +122,8 @@ class TestConfig:
         "tree", {"kind": "tree", "max_depth": "3"}, {"kind": "mlp", "epochs": 2.0},
         {"kind": "forest", "bootstrap": 1}, {"kind": ["tree"]},
         {"kind": "logistic", "l2": -1.0}, {"kind": "logistic", "l2": float("nan")},
-        {"kind": "svm", "C": 0.0}, {"kind": "svm", "epochs": 0},
+        {"kind": "svm", "C": 0.0}, json.loads('{"kind": "svm", "C": Infinity}'),
+        json.loads('{"kind": "logistic", "l2": Infinity}'),
     ], ids=str)
     def test_bad_classifier_rejected_before_reading(self, tmp_path, classifier):
         d = {"dataset": {"csv": str(tmp_path / "absent.csv"),
@@ -148,8 +151,9 @@ class TestConfig:
         ("classifier 'mlp'", "l2", {"classifiers": [{"kind": "mlp", "l2": 0.1}]}),
         ("classifier 's'", "seed",
          {"classifiers": [{"kind": "svm", "name": "s", "seed": 1}]}),
+        ("classifier 'svm'", "epochs", {"classifiers": [{"kind": "svm", "epochs": 0}]}),
     ], ids=["split", "balancer", "balancer.ocsvm", "top-level", "dataset", "tree",
-            "logistic-epochs", "logistic-lr", "forest", "mlp", "svm"])
+            "logistic-epochs", "logistic-lr", "forest", "mlp", "svm", "svm-epochs"])
     def test_unknown_key_named(self, section, key, d):
         d["dataset"] = {"csv": "absent.csv", "schema": "absent.schema.json",
                         **d.get("dataset", {})}
@@ -192,10 +196,24 @@ class TestConfig:
         ("balancer: epochs must be", {"balancer": {"epochs": 1.5}}),
         ("balancer: max_modes must be", {"balancer": {"max_modes": 2.0}}),
         ("balancer: learning_rate must be", {"balancer": {"learning_rate": "0.1"}}),
+        ("balancer: learning_rate must be a finite number",
+         json.loads('{"balancer": {"learning_rate": Infinity}}')),
         ("balancer: batch_size must be", {"balancer": {"batch_size": True}}),
         ("balancer: target must be", {"balancer": {"target": True}}),
         ("balancer.ocsvm: nu must be", {"balancer": {"ocsvm": {"nu": "0.5"}}}),
         ("balancer.ocsvm: coef0 must be", {"balancer": {"ocsvm": {"coef0": "x"}}}),
+        ("balancer.ocsvm: coef0 must be a finite number",
+         json.loads('{"balancer": {"ocsvm": {"coef0": NaN}}}')),
+        ("balancer.ocsvm: gamma must be a finite number",
+         json.loads('{"balancer": {"ocsvm": {"gamma": -Infinity}}}')),
+        ("balancer.ocsvm: kernel 'rbf', gamma 'inf': gamma must be positive and finite",
+         {"balancer": {"ocsvm": {"kernel": "rbf", "gamma": "inf"}}}),
+        ("classifier 'svm': C must be a finite number",
+         json.loads('{"classifiers": [{"kind": "svm", "C": Infinity}]}')),
+        ("classifier 'logistic': l2 must be a finite number",
+         json.loads('{"classifiers": [{"kind": "logistic", "l2": Infinity}]}')),
+        ("split: train_fraction must be a finite number",
+         json.loads('{"split": {"train_fraction": NaN}}')),
         ("balancer.ocsvm: enabled must be", {"balancer": {"ocsvm": {"enabled": "no"}}}),
         ("balancer.ocsvm: gamma must be", {"balancer": {"ocsvm": {"gamma": True}}}),
         ("balancer: ocsvm must be an object", {"balancer": {"ocsvm": [True]}}),

@@ -44,7 +44,7 @@ def test_traced_training_matches_untraced():
 
 
 CLASSIFIERS = [{"kind": "tree"}, {"kind": "forest", "n_estimators": 2},
-               {"kind": "logistic"}, {"kind": "mlp", "epochs": 1}, {"kind": "svm", "epochs": 5}]
+               {"kind": "logistic"}, {"kind": "mlp", "epochs": 1}, {"kind": "svm"}]
 # the spans every run reaches, and those of each run's own split and balancer;
 # CTGAN's steps run in gan's adversarial loop, so they are gan.* spans
 EVERY_RUN = {"pipeline.run_experiment", "pipeline.balance", "pipeline.fit_classifier",
