@@ -368,7 +368,7 @@ def fit_mlp_classifier(X, y, params=None, seed=0):
             idx = order[start:start + params.batch_size]
             acts = forward(net, X[idx])
             loss, grad = bce_loss(acts[-1][:, 0], y[idx])
-            grad, _ = backward(net, acts, grad[:, None])
+            grad, _ = backward(net, acts, grad[:, None], input_grad=False)
             adam_step(net, grad, MLP_LEARNING_RATE)
     return FittedClassifier("mlp", X.shape[1], {"net": net})
 

@@ -54,6 +54,7 @@ CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 WEIGHT_SUM_TOL = 1e-9  # a loaded mode normalizer's weights sum to 1 within this
 WGAN_CLIP = 0.01  # the WGAN paper's weight clip c (Arjovsky et al., 2017)
 CRITIC_STEPS = 5  # and its critic updates per generator update, n_critic
+SAMPLE_BLOCK = 1024  # generator rows per forward pass in sample_synthetic
 
 DISCRIMINATOR_WIDTHS = (128, 64, 32, 16, 8)
 GENERATOR_HIDDEN_WIDTHS = (64, 128)
@@ -326,7 +327,7 @@ def build_discriminator(input_dim, mode, seed):
 
 def generator_backward_step(gen, acts, grad_out, learning_rate):
     """Backprop grad_out through the generator, then Adam-update it."""
-    grad, _ = backward(gen, acts, grad_out)
+    grad, _ = backward(gen, acts, grad_out, input_grad=False)
     adam_step(gen, grad, learning_rate)
 
 
@@ -477,7 +478,7 @@ def train_adversarial(gen, critic, rng, config, wasserstein, batches, draw_real,
                     loss_r, grad_r = bce_loss(score_r[:, 0], np.ones(b))
                     loss_f, grad_f = bce_loss(score_f[:, 0], np.zeros(b))
                     d_loss, grad = loss_r + loss_f, np.stack([grad_r, grad_f])[:, :, None]
-                g, _ = backward(critic, acts, grad)
+                g, _ = backward(critic, acts, grad, input_grad=False)
                 adam_step(critic, g, config.learning_rate)
                 if wasserstein:
                     clip_weights(critic, WGAN_CLIP)
@@ -573,6 +574,12 @@ def sample_synthetic(model, n, seed, condition=None):
     A model with condition columns draws each row's condition by log
     frequency, then the noise; ``condition`` = (column, category), by name
     or index, instead fixes one discrete column's category in every row.
+
+    The generator runs on SAMPLE_BLOCK rows at a time, so its activations
+    stay bounded whatever n is; each block's noise continues the one
+    stream, and the rows equal a single pass's bit for bit. A last block
+    of one row joins the block before it, since BLAS rounds a lone row
+    (gemv) apart from a block of rows (gemm).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -586,12 +593,17 @@ def sample_synthetic(model, n, seed, condition=None):
         _, _, cond = draw_conditions(stats, n, rng)
     else:
         cond = np.zeros((n, 0))
-    z = rng.standard_normal((n, model.latent_dim))
-    encoded = forward(model.generator, np.concatenate([z, cond], axis=1))[-1]
-    table = decode_rows(encoded, model.schema, model.mode, model.numeric)
+    X = np.empty((n, len(model.schema.columns)))
+    start = 0
+    while start < n:
+        stop = n if n - start <= SAMPLE_BLOCK + 1 else start + SAMPLE_BLOCK
+        z = rng.standard_normal((stop - start, model.latent_dim))
+        encoded = forward(model.generator, np.concatenate([z, cond[start:stop]], axis=1))[-1]
+        X[start:stop] = decode_rows(encoded, model.schema, model.mode, model.numeric).X
+        start = stop
     if condition is not None:
-        table.X[:, col] = cat
-    return table
+        X[:, col] = cat
+    return Table(model.schema, X, np.ones(n, dtype=int))
 
 
 def synthetic_count(train, target="parity"):

@@ -135,19 +135,20 @@ def sigmoid(z):
 
 
 def _activate(z, layer):
+    """The layer's activation of z. ReLU, leaky ReLU, tanh, identity and
+    segmented layers write it over z, which the caller owns."""
     if layer.segments:
-        out = np.empty_like(z)
         for sl, part in layer.segments:
-            out[..., sl] = _activate(z[..., sl], part)
-        return out
+            z[..., sl] = _activate(z[..., sl], part)
+        return z
     if layer.activation == RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if layer.activation == LEAKY_RELU:
-        return np.maximum(z, layer.slope * z)
+        return np.maximum(z, layer.slope * z, out=z)
     if layer.activation == SIGMOID:
         return sigmoid(z)
     if layer.activation == TANH:
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if layer.activation == SOFTMAX:
         shifted = z - z.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
@@ -192,19 +193,22 @@ def forward(state, batch):
     activations = [batch]
     a = batch
     for layer, W, b in zip(state.spec.layers, state.weights, state.biases):
-        z = a @ W.T + b
+        z = np.matmul(a, W.T)
+        z += b
         a = _activate(z, layer)
         activations.append(a)
     return activations
 
 
-def backward(state, activations, loss_grad_at_output):
+def backward(state, activations, loss_grad_at_output, input_grad=True):
     """Backprop; returns (flat parameter gradient, grad w.r.t. input).
 
     The parameter gradient has the layout of state.params and is summed over
     the batch. For a stack of batches, each batch's weight and bias gradients
     are summed on their own and then added in stack order, as the gradients
-    of separate calls would be.
+    of separate calls would be. With input_grad False the input gradient,
+    one more product with the first layer's weights, is skipped and
+    returned as None.
     """
     grad = np.atleast_2d(np.asarray(loss_grad_at_output, dtype=float))
     if grad.shape != activations[-1].shape:
@@ -222,7 +226,7 @@ def backward(state, activations, loss_grad_at_output):
         for d, a in zip(batches[1:], inputs[1:]):
             w_grad += d.T @ a
             b_grad += d.sum(axis=0)
-        grad = dz @ state.weights[i]
+        grad = dz @ state.weights[i] if i or input_grad else None
     return flat, grad
 
 

@@ -16,14 +16,16 @@ the uniform start. A linear kernel has rank <= d, so its optimal alpha is not
 unique and the support set depends on the start; the sigmoid kernel is
 indefinite, and a warm start ends at another point.
 
-Up to DENSE_KERNEL_BYTES (8 n^2 <= 64 MiB, n <= 2896) the fit holds one dense
-n x n float64 kernel and nothing else of that size. Above it the fit holds no
-n x n array: it evaluates K a in blocks of at most KERNEL_BLOCK_BYTES (and
-ROW_BLOCK rows), then only rows i and j in each sweep. Blocks and rows are
-written in place into one buffer of one block's size, so that block is the
-largest array the fit holds; decision_function scores in blocks the same
-way. There is no row cache: a cold-started fit reads almost every row once,
-and a warm-started one reads two rows in each of a few dozen sweeps.
+The fit and decision_function hold at most KERNEL_BYTES (2 MiB) of kernel.
+Up to that (8 n^2 <= 2 MiB, n <= 512) the fit holds one dense n x n float64
+kernel. Above it the fit holds one buffer of at most KERNEL_BYTES and nothing
+n x n: it evaluates K a in blocks of rows written into the buffer, and
+between those passes the buffer caches kernel rows, least recently used
+first out. A sweep evaluates only the rows of its pair that are not cached,
+each on its own, so a row's bits never depend on the rows beside it. A
+cold-started fit asks for a row it has not seen in almost every sweep, but
+about half of its row reads repeat within the last few dozen rows.
+decision_function scores in blocks of columns under the same budget.
 """
 
 import warnings
@@ -45,8 +47,7 @@ GAP_TOL = 1e-6
 MAX_SWEEPS = 100_000
 ROW_BLOCK = 256  # rows per mirrored block in kernel_matrix, and most per streamed block
 _SUM_ROWS = 16  # rows per rbf scratch sum aa_i + bb_j in kernel_matrix
-DENSE_KERNEL_BYTES = 64 * 2**20  # larger kernels are streamed, never held
-KERNEL_BLOCK_BYTES = 16 * 2**20  # most bytes of the one reused streamed-block buffer
+KERNEL_BYTES = 2 * 2**20  # most kernel bytes a fit or a scoring pass holds
 
 
 @dataclass(frozen=True)
@@ -141,26 +142,31 @@ class OcsvmModel:
 def _kernel_operator(kernel, X):
     """(matvec, rows): matvec(alpha) -> K alpha, and rows(i, j) -> rows i and j of K.
 
-    Up to DENSE_KERNEL_BYTES, K is built once and both read it. Above it,
-    nothing n x n is held and matvec evaluates K's upper part in blocks of
-    ROW_BLOCK rows, fewer if a block of n columns would pass
-    KERNEL_BLOCK_BYTES. Each block, K[s:e, s:], is evaluated once and feeds
-    both g[s:e] and, transposed as K[e:, s:e], g[e:]. rows(i, j) evaluates the
-    two rows it is asked for; they stay valid until the next call. Blocks and
-    rows are written in place into one buffer of one block's size.
+    Up to KERNEL_BYTES, K is built once and both read it. Above it, one
+    buffer of KERNEL_BYTES // 8n rows (at least 2) is all the kernel held.
+    matvec evaluates K's upper part into it in blocks of ROW_BLOCK rows, or
+    of as many as it holds: each block, K[s:e, s:], is evaluated once and
+    feeds both g[s:e] and, transposed as K[e:, s:e], g[e:]. Between matvec
+    calls the buffer's rows are a least-recently-used cache of K's rows:
+    rows(i, j) evaluates only the rows it is missing, each alone as
+    kernel_matrix(kernel, X[i:i + 1], X), and its rows stay valid until the
+    next call. matvec overwrites the buffer, so it empties the cache.
     """
     n = X.shape[0]
-    if 8 * n * n <= DENSE_KERNEL_BYTES:
+    if 8 * n * n <= KERNEL_BYTES:
         K = kernel_matrix(kernel, X)
         # K is symmetric, so rows i and j are columns i and j, read contiguously
         return (lambda alpha: K @ alpha), (lambda i, j: (K[i], K[j]))
     sq = (X * X).sum(axis=1)
-    step = min(ROW_BLOCK, max(1, KERNEL_BLOCK_BYTES // (8 * n)))
-    # every block, and each sweep's two rows, is a contiguous view of buf:
-    # matmul into a strided slice of a 2-D buffer computes into a copy
-    buf = np.empty(max(step, 2) * n)
+    slots = max(2, KERNEL_BYTES // (8 * n))
+    step = min(ROW_BLOCK, slots)
+    # every block and every cached row is a contiguous view of buf: matmul
+    # into a strided slice of a 2-D buffer computes into a copy
+    buf = np.empty(slots * n)
+    cache = {}  # row index -> slot in buf, least recently used first
 
     def matvec(alpha):
+        cache.clear()
         g = np.zeros(n)
         for s in range(0, n, step):
             e = min(s + step, n)
@@ -170,10 +176,21 @@ def _kernel_operator(kernel, X):
             g[e:] += alpha[s:e] @ upper[:, e - s:]
         return g
 
+    def row(i):
+        slot = cache.pop(i, None)
+        if slot is None:
+            # slots fill in order after matvec empties the cache, then each
+            # miss takes the least recently used one
+            slot = len(cache) if len(cache) < slots else cache.pop(next(iter(cache)))
+            kernel_matrix(kernel, X[i:i + 1], X, norms=(sq[i:i + 1], sq),
+                          out=buf[slot * n:(slot + 1) * n].reshape(1, n))
+        cache[i] = slot
+        return buf[slot * n:(slot + 1) * n]
+
     def rows(i, j):
-        pair = [i, j]
-        return kernel_matrix(kernel, X[pair], X, norms=(sq[pair], sq),
-                             out=buf[:2 * n].reshape(2, n))
+        # row(j) cannot evict row i: with 2 or more slots, i is the most
+        # recently used
+        return row(i), row(j)
 
     return matvec, rows
 
@@ -285,10 +302,10 @@ def decision_function(model, rows):
     """Score rows; >= 0 means inside the learned region.
 
     The support-vector kernel is evaluated a block of columns at a time in
-    one buffer of at most KERNEL_BLOCK_BYTES (at least 8 columns), each block
-    a multiple of 8 columns wide but the last. With one BLAS thread and a
-    multiple of 8 rows the scores are then the one-shot product's bit for
-    bit: gemm and gemv round a ragged tail of columns apart.
+    one buffer of at most KERNEL_BYTES, the fit's budget (but at least 8
+    columns), each block a multiple of 8 columns wide but the last. With one
+    BLAS thread and a multiple of 8 rows the scores are then the one-shot
+    product's bit for bit: gemm and gemv round a ragged tail of columns apart.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != model.X.shape[1]:
@@ -297,7 +314,7 @@ def decision_function(model, rows):
     sv = model.support_indices
     A, weights = model.X[sv], model.alpha[sv]
     m = rows.shape[0]
-    width = max(8, KERNEL_BLOCK_BYTES // (8 * len(sv)) // 8 * 8)
+    width = max(8, KERNEL_BYTES // (8 * len(sv)) // 8 * 8)
     buf = np.empty(len(sv) * min(width, m))
     scores = np.empty(m)
     for s in range(0, m, width):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -602,6 +603,23 @@ class TestSvm:
         model = fit_svm_linear(X, y, SvmParams(C=C))
         ours = svm_objective(model.params["w"], model.params["b"], X, y_pm, C)
         assert ours == pytest.approx(-scale * ref.fun, rel=1e-6)
+
+    def test_traced_peak_holds_no_gram_matrix(self):
+        """2,896 rows, the most a 64 MiB dense Gram matrix once held: the fit
+        holds the kernel budget's row cache and its length-n vectors."""
+        n = 2896
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(n, 11))
+        y = (X[:, 0] + X[:, 1] + rng.normal(0.0, 1.0, n) > 0).astype(int)
+        fit_svm_linear(X[:40], y[:40])  # lazy imports, about 1 MiB, are not the fit's
+        tracemalloc.start()
+        try:
+            model = fit_svm_linear(X, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (model.predict(X) == y).mean() > 0.7
+        assert peak < ocsvm.KERNEL_BYTES + 32 * 8 * n
 
     def test_stall_warned(self, monkeypatch):
         monkeypatch.setattr(ocsvm, "MAX_SWEEPS", 1)

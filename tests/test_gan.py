@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fingan.gan as gan
 from conftest import GAN_SEEDS
 from fingan.ctgan import fit_mode_normalizer, train_ctgan
 from fingan.data_model import CATEGORICAL, NUMERIC, ColumnSpec, Schema, Table
@@ -23,6 +25,7 @@ from fingan.gan import (
     sample_synthetic,
     train_gan,
 )
+from fingan.nn_core import forward
 
 
 def minority_mixed(n=40, seed=0):
@@ -212,6 +215,70 @@ class TestSampling:
         d = dict(model.to_dict(), format=fmt)
         with pytest.raises(ValueError, match="unknown model format"):
             GeneratorModel.from_dict(d)
+
+
+@pytest.fixture(scope="module")
+def mixed_models():
+    """A two-epoch model of each mode on a mixed table, by mode; the CTGAN
+    one conditions on the table's categorical column."""
+    table = minority_mixed(60)
+    return {mode: train(table, GanConfig(mode=mode, epochs=2, batch_size=16))
+            for mode, train in ((VANILLA, train_gan), (WGAN, train_gan),
+                                (CTGAN, train_ctgan))}
+
+
+def one_shot_sample(model, n, seed, condition=None):
+    """sample_synthetic in one generator pass: all n conditions, then all n
+    rows of noise, one forward and one decode."""
+    rng = np.random.default_rng(seed)
+    stats = model.stats
+    if condition is not None:
+        col, cat, ci = gan._resolve_condition(model, condition)
+        cond = np.zeros((n, stats.total_width))
+        cond[:, stats.offsets[ci] + cat] = 1.0
+    elif stats.columns:
+        _, _, cond = gan.draw_conditions(stats, n, rng)
+    else:
+        cond = np.zeros((n, 0))
+    z = rng.standard_normal((n, model.latent_dim))
+    encoded = forward(model.generator, np.concatenate([z, cond], axis=1))[-1]
+    X = decode_rows(encoded, model.schema, model.mode, model.numeric).X
+    if condition is not None:
+        X[:, col] = cat
+    return X
+
+
+class TestBlockedSampling:
+    # SAMPLE_BLOCK - 1, SAMPLE_BLOCK, and SAMPLE_BLOCK + 1, whose lone last
+    # row joins the block before it; 2,527 and 5,003 end on ragged blocks
+    @pytest.mark.parametrize("n", [1, 7, 1023, 1024, 1025, 2527, 5003])
+    @pytest.mark.parametrize("mode, condition", [(VANILLA, None), (WGAN, None),
+                                                 (CTGAN, None), (CTGAN, (2, 1))],
+                             ids=["vanilla", "wgan", "ctgan", "ctgan-conditioned"])
+    def test_equals_one_shot_pass(self, mixed_models, mode, condition, n):
+        model = mixed_models[mode]
+        assert gan.SAMPLE_BLOCK == 1024
+        table = sample_synthetic(model, n, seed=n, condition=condition)
+        assert table.X.tobytes() == one_shot_sample(model, n, n, condition).tobytes()
+
+    @pytest.mark.parametrize("mode", [VANILLA, CTGAN])
+    def test_traced_peak_is_one_block(self, mixed_models, mode):
+        """50,000 rows hold the output, the conditions and one block's
+        activations; one pass held every row's, about 195 MiB."""
+        model = mixed_models[mode]
+        sample_synthetic(model, 10, seed=0)  # lazy imports are not the sampler's
+        n = 50_000
+        tracemalloc.start()
+        try:
+            table = sample_synthetic(model, n, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.n_rows == n
+        spec = model.generator.spec
+        per_row = spec.input_dim + sum(layer.width for layer in spec.layers)
+        held = 8 * n * (table.X.shape[1] + model.stats.total_width)
+        assert peak < held + 2 * 8 * (gan.SAMPLE_BLOCK + 1) * per_row
 
 
 @pytest.fixture(scope="module")

@@ -333,11 +333,56 @@ def test_leaky_relu_matches_where_form(slope):
     rng = np.random.default_rng(1)
     layer = Layer(32, nn_core.LEAKY_RELU, slope)
     z = signed_inputs(rng)
-    a = nn_core._activate(z, layer)
+    a = nn_core._activate(z.copy(), layer)  # it writes the activation over its input
     assert_bitwise_equal(a, np.where(z > 0, z, slope * z))
     upstream = signed_inputs(rng)[::-1]
     assert_bitwise_equal(nn_core._activation_grad(a, upstream, layer),
                          upstream * np.where(a > 0, 1.0, slope))
+
+
+def allocating_activate(z, layer):
+    """Each activation as a new array, z left as it was."""
+    if layer.segments:
+        return np.concatenate([allocating_activate(z[..., sl], part)
+                               for sl, part in layer.segments], axis=-1)
+    if layer.activation == nn_core.RELU:
+        return np.maximum(z, 0.0)
+    if layer.activation == nn_core.LEAKY_RELU:
+        return np.maximum(z, layer.slope * z)
+    if layer.activation == nn_core.TANH:
+        return np.tanh(z)
+    if layer.activation == nn_core.SOFTMAX:
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    return nn_core.sigmoid(z) if layer.activation == nn_core.SIGMOID else z.copy()
+
+
+@pytest.mark.parametrize("hidden", ALL_ACTIVATIONS, ids=activation_id)
+@pytest.mark.parametrize("shape", [(64,), (3, 64)], ids=["batch", "stack"])
+def test_forward_matches_allocating_form(hidden, shape):
+    """z = aW' then z += b, activated over z, equals a @ W.T + b activated
+    into new arrays, bit for bit; every layer's input is kept."""
+    spec = NetworkSpec(6, (hidden, Layer(3, nn_core.LEAKY_RELU), Layer(7, SEGMENTS)))
+    s = init_network(spec, seed=11)
+    batch = signed_inputs(np.random.default_rng(6), shape + (6,))
+    acts = forward(s, batch)
+    a = batch
+    for layer, W, b, got in zip(spec.layers, s.weights, s.biases, acts[1:]):
+        a = allocating_activate(a @ W.T + b, layer)
+        assert_bitwise_equal(got, a)
+    assert_bitwise_equal(acts[0], batch)
+
+
+def test_backward_without_input_gradient():
+    spec = NetworkSpec(3, (Layer(4, nn_core.TANH), Layer(2, nn_core.SIGMOID)))
+    s = init_network(spec, seed=2)
+    rng = np.random.default_rng(5)
+    acts = forward(s, rng.normal(size=(6, 3)))
+    upstream = rng.normal(size=(6, 2))
+    full, gin = backward(s, acts, upstream)
+    grad, none = backward(s, acts, upstream, input_grad=False)
+    assert gin.shape == (6, 3) and none is None
+    assert_bitwise_equal(grad, full)
 
 
 def test_adam_matches_allocating_form():

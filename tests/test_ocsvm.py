@@ -26,17 +26,16 @@ KERNELS = [KernelSpec("rbf", 0.3), KernelSpec("sigmoid", 0.2, 0.1),
 
 
 def project_box_simplex(a, C):
-    """Euclidean projection onto {0 <= a_i <= C, sum a_i = 1} by bisection."""
-    lo = a.min() - C - 1.0
-    hi = a.max() + 1.0
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        total = np.clip(a - mid, 0.0, C).sum()
-        if total > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(a - (lo + hi) / 2, 0.0, C)
+    """Euclidean projection onto {0 <= a_i <= C, sum a_i = 1}: clip(a - t, 0, C)
+    at the threshold t where the sum is 1, solved exactly. The sum falls
+    piecewise linearly in t between the sorted breakpoints a_i - C and a_i."""
+    t = np.sort(np.concatenate([a - C, a]))
+    total = np.clip(a[None, :] - t[:, None], 0.0, C).sum(axis=1)
+    # the last breakpoint with total >= 1: at t[0] the sum is n C >= 1, at
+    # t[-1] it is 0
+    k = int(np.searchsorted(-total, -1.0, side="right")) - 1
+    cut = t[k] + (total[k] - 1.0) * (t[k + 1] - t[k]) / (total[k] - total[k + 1])
+    return np.clip(a - cut, 0.0, C)
 
 
 def brute_force_dual(K, nu, iters=20_000, lr=None):
@@ -295,8 +294,9 @@ class TestFit:
 
 @pytest.fixture
 def streamed(monkeypatch):
-    """Every fit streams its kernel rows, whatever its size."""
-    monkeypatch.setattr(ocsvm, "DENSE_KERNEL_BYTES", 0)
+    """Every fit streams its kernel rows, whatever its size, through the
+    smallest row cache (2 rows)."""
+    monkeypatch.setattr(ocsvm, "KERNEL_BYTES", 0)
 
 
 @pytest.mark.usefixtures("streamed")
@@ -314,7 +314,7 @@ class TestStreamedPath:
     def test_same_support_as_dense(self, monkeypatch, kernel, n_neg, nu):
         X = fixture_rows(n_neg, n_neg)
         dense = fit_ocsvm(X, nu, kernel)
-        monkeypatch.setattr(ocsvm, "DENSE_KERNEL_BYTES", 0)
+        monkeypatch.setattr(ocsvm, "KERNEL_BYTES", 0)
         streamed = fit_ocsvm(X, nu, kernel)
         np.testing.assert_array_equal(streamed.support_indices, dense.support_indices)
         assert abs(streamed.rho - dense.rho) <= GAP_TOL
@@ -322,7 +322,7 @@ class TestStreamedPath:
     @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
     def test_traced_peak_far_below_dense_kernel(self, kernel):
         n = 3000
-        assert 8 * n * n > ocsvm.DENSE_KERNEL_BYTES  # streamed without a patch
+        assert 8 * n * n > ocsvm.KERNEL_BYTES  # streamed without a patch
         X = np.random.default_rng(13).normal(size=(n, 6))
         tracemalloc.start()
         try:
@@ -331,17 +331,30 @@ class TestStreamedPath:
         finally:
             tracemalloc.stop()
         assert not model.stalled
-        # one upper block and the fit's length-n vectors, not the 72 MB kernel
-        assert peak < 8 * ROW_BLOCK * n + 32 * 8 * n
+        # the one kernel buffer and the fit's length-n vectors, not the 72 MB kernel
+        assert peak < ocsvm.KERNEL_BYTES + 32 * 8 * n
+
+    def test_traced_sigmoid_fit_holds_one_buffer(self):
+        """A cold-started sigmoid fit of a loan-sized fold, 1,472 rows of 13
+        columns, holds the kernel buffer and no 16.5 MiB dense kernel."""
+        n = 1472
+        X = np.random.default_rng(16).normal(size=(n, 13))
+        tracemalloc.start()
+        try:
+            model = fit_ocsvm(X, 0.5, KernelSpec("sigmoid", 1 / 13))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not model.stalled
+        assert peak < ocsvm.KERNEL_BYTES + 32 * 8 * n
 
     @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
     def test_blocks_sized_from_byte_budget(self, monkeypatch, kernel):
         n = 1000
         X = np.random.default_rng(14).normal(size=(n, 6))
-        monkeypatch.setattr(ocsvm, "DENSE_KERNEL_BYTES", 0)
         reference = fit_ocsvm(X, 0.5, kernel)
-        budget = 8 * 8 * n  # 8 rows a block
-        monkeypatch.setattr(ocsvm, "KERNEL_BLOCK_BYTES", budget)
+        budget = 8 * 8 * n  # 8 rows a block, and 8 cached rows
+        monkeypatch.setattr(ocsvm, "KERNEL_BYTES", budget)
         tracemalloc.start()
         try:
             model = fit_ocsvm(X, 0.5, kernel)
@@ -349,7 +362,7 @@ class TestStreamedPath:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(model.support_indices, reference.support_indices)
-        # one block, plus the fit's length-n vectors
+        # one buffer, plus the fit's length-n vectors
         assert peak < budget + 32 * 8 * n
 
     # 700 and 3000 rows are no multiple of ROW_BLOCK or of 8
@@ -357,8 +370,7 @@ class TestStreamedPath:
     @pytest.mark.parametrize("n", [700, 3000])
     @pytest.mark.parametrize("step", [ROW_BLOCK, 8])
     def test_matvec_equals_reference(self, monkeypatch, kernel, n, step):
-        monkeypatch.setattr(ocsvm, "DENSE_KERNEL_BYTES", 0)
-        monkeypatch.setattr(ocsvm, "KERNEL_BLOCK_BYTES", 8 * step * n)
+        monkeypatch.setattr(ocsvm, "KERNEL_BYTES", 8 * step * n)
         X = np.random.default_rng(n + step).normal(size=(n, 6))
         matvec, rows = ocsvm._kernel_operator(kernel, X)
         uniform = np.full(n, 1.0 / n)
@@ -367,14 +379,55 @@ class TestStreamedPath:
             assert np.array_equal(matvec(alpha), reference_matvec(kernel, X, alpha, step))
         for i, j in [(0, n - 1), (n - 5, 3)]:
             K_i, K_j = rows(i, j)
-            assert np.array_equal(np.vstack([K_i, K_j]), kernel_matrix(kernel, X[[i, j]], X))
+            assert np.array_equal(K_i, kernel_matrix(kernel, X[i:i + 1], X)[0])
+            assert np.array_equal(K_j, kernel_matrix(kernel, X[j:j + 1], X)[0])
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    def test_row_cache_evicts_least_recently_used(self, monkeypatch, kernel):
+        """With room for 3 rows, rows(i, j) evaluates just the rows a
+        least-recently-used cache of 3 misses, matvec empties the cache, and
+        every row returned equals the row evaluated alone."""
+        n = 700
+        monkeypatch.setattr(ocsvm, "KERNEL_BYTES", 3 * 8 * n)
+        X = np.random.default_rng(17).normal(size=(n, 6))
+        fresh = {i: kernel_matrix(kernel, X[i:i + 1], X)[0] for i in range(8)}
+        evaluated = []
+
+        def recording(spec, A, *args, **kwargs):
+            evaluated.append(int(np.flatnonzero((X == A[0]).all(axis=1))[0]))
+            return kernel_matrix(spec, A, *args, **kwargs)
+
+        monkeypatch.setattr(ocsvm, "kernel_matrix", recording)
+        matvec, rows = ocsvm._kernel_operator(kernel, X)
+        pairs = [(0, 1), (2, 0), (1, 3), (0, 1), (3, 2), (2, 3), (4, 5), (5, 4),
+                 (6, 7), (7, 4), None, (4, 7), (0, 1), None, (1, 0), (2, 1)]
+        lru = []  # the cache's rows, least recently used first
+        for pair in pairs:
+            if pair is None:
+                matvec(np.full(n, 1.0 / n))
+                lru.clear()
+                continue
+            evaluated.clear()
+            K_i, K_j = rows(*pair)
+            missed = []
+            for i in pair:
+                if i in lru:
+                    lru.remove(i)
+                else:
+                    missed.append(i)
+                    if len(lru) == 3:
+                        del lru[0]
+                lru.append(i)
+            assert evaluated == missed
+            assert np.array_equal(K_i, fresh[pair[0]])
+            assert np.array_equal(K_j, fresh[pair[1]])
 
 
 @pytest.fixture(params=["dense", "streamed"])
 def path(request, monkeypatch):
     """Each test runs once with the dense kernel and once streamed."""
     if request.param == "streamed":
-        monkeypatch.setattr(ocsvm, "DENSE_KERNEL_BYTES", 0)
+        monkeypatch.setattr(ocsvm, "KERNEL_BYTES", 0)
     return request.param
 
 
@@ -454,7 +507,7 @@ class TestDecision:
         rows = rng.normal(size=(m, 4))
         sv = model.support_indices
         one_shot = model.alpha[sv] @ kernel_matrix(kernel, model.X[sv], rows) - model.rho
-        monkeypatch.setattr(ocsvm, "KERNEL_BLOCK_BYTES", 8 * len(sv) * width)
+        monkeypatch.setattr(ocsvm, "KERNEL_BYTES", 8 * len(sv) * width)
         assert np.array_equal(decision_function(model, rows), one_shot)
 
     @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
@@ -464,7 +517,7 @@ class TestDecision:
         rows = rng.normal(size=(5000, 6))
         n_sv = len(model.support_indices)
         budget = 8 * n_sv * 256  # 20 blocks of 256 columns
-        monkeypatch.setattr(ocsvm, "KERNEL_BLOCK_BYTES", budget)
+        monkeypatch.setattr(ocsvm, "KERNEL_BYTES", budget)
         tracemalloc.start()
         try:
             scores = decision_function(model, rows)
