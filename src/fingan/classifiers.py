@@ -169,13 +169,6 @@ class TreeNode:
         return self.left is None
 
 
-def gini(y):
-    if len(y) == 0:
-        return 0.0
-    p = y.mean()
-    return float(2.0 * p * (1.0 - p))
-
-
 def _n_features_to_try(d, max_features):
     if max_features == "all":
         return d
@@ -422,10 +415,3 @@ def predict_proba(model, X):
         return sigmoid(a * (X @ model.params["w"] + model.params["b"]) + c)
     raise ValueError(f"unknown classifier kind {model.kind!r}")
 
-
-def forest_vote(model, X, threshold=0.5):
-    """Majority vote over per-tree labels, exposed alongside mean probability."""
-    X = _check_rows(model, X)
-    votes = np.stack([_tree_proba(t.params["root"], X) >= threshold
-                      for t in model.params["trees"]])
-    return (votes.mean(axis=0) > 0.5).astype(int)

@@ -139,7 +139,7 @@ class Table:
 
     def subset(self, idx):
         idx = np.asarray(idx)
-        return Table(self.schema, self.X[idx].copy(), self.y[idx].copy())
+        return Table(self.schema, self.X[idx], self.y[idx])
 
     def positives(self):
         return self.subset(np.flatnonzero(self.y == 1))

@@ -16,16 +16,16 @@ the uniform start. A linear kernel has rank <= d, so its optimal alpha is not
 unique and the support set depends on the start; the sigmoid kernel is
 indefinite, and a warm start ends at another point.
 
-The fit and decision_function hold at most KERNEL_BYTES (2 MiB) of kernel.
-Up to that (8 n^2 <= 2 MiB, n <= 512) the fit holds one dense n x n float64
-kernel. Above it the fit holds one buffer of at most KERNEL_BYTES and nothing
-n x n: it evaluates K a in blocks of rows written into the buffer, and
-between those passes the buffer caches kernel rows, least recently used
-first out. A sweep evaluates only the rows of its pair that are not cached,
-each on its own, so a row's bits never depend on the rows beside it. A
-cold-started fit asks for a row it has not seen in almost every sweep, but
-about half of its row reads repeat within the last few dozen rows.
-decision_function scores in blocks of columns under the same budget.
+The fit and decision_function hold at most KERNEL_BYTES (2 MiB) of kernel,
+and nothing n x n. The fit holds one buffer of min(n, KERNEL_BYTES // 8n)
+rows (at least 2), at most the n x n kernel's bytes: it evaluates K a in
+blocks of rows written into the buffer, and between those passes the buffer
+caches kernel rows, least recently used first out. A sweep evaluates only
+the rows of its pair that are not cached, each on its own, so a row's bits
+never depend on the rows beside it. A cold-started fit asks for a row it has
+not seen in almost every sweep, but about half of its row reads repeat
+within the last few dozen rows. decision_function scores in blocks of
+columns under the same budget.
 """
 
 import warnings
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_model import apply_preprocess, fit_preprocess
-from .errors import SchemaMismatch, SolverStallWarning
+from .errors import DegenerateClass, SchemaMismatch, SolverStallWarning
 from .gan import VANILLA, encode_rows
 
 SIGMOID = "sigmoid"
@@ -45,7 +45,7 @@ KERNEL_KINDS = (SIGMOID, RBF, LINEAR)
 SV_TOL = 1e-8
 GAP_TOL = 1e-6
 MAX_SWEEPS = 100_000
-ROW_BLOCK = 256  # rows per mirrored block in kernel_matrix, and most per streamed block
+ROW_BLOCK = 256  # most rows per block of the fit's K a pass
 _SUM_ROWS = 16  # rows per rbf scratch sum aa_i + bb_j in kernel_matrix
 KERNEL_BYTES = 2 * 2**20  # most kernel bytes a fit or a scoring pass holds
 
@@ -63,20 +63,16 @@ class KernelSpec:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
 
 
-def kernel_matrix(spec, A, B=None, norms=None, out=None):
+def kernel_matrix(spec, A, B, norms=None, out=None):
     """The len(A) x len(B) kernel, built in place in one float64 array.
 
     out, if given, is a C-contiguous len(A) x len(B) float64 array that the
     kernel is written into and that is returned; otherwise one is
     allocated. Beyond the result, the rbf path allocates one _SUM_ROWS x
-    len(B) scratch array. kernel_matrix(spec, A) is exactly symmetric, so a
-    row of it can stand for the column. norms, if given, is the pair of
-    squared row norms of A and B, which only rbf reads.
+    len(B) scratch array. norms, if given, is the pair of squared row norms
+    of A and B, which only rbf reads.
     """
-    symmetric = B is None
-    B = A if symmetric else B
     if spec.kind == LINEAR:
-        # numpy runs A @ A.T as syrk, which writes both triangles alike
         return np.matmul(A, B.T, out=out)
     if spec.kind == SIGMOID:
         K = np.matmul(A, B.T, out=out)
@@ -86,33 +82,16 @@ def kernel_matrix(spec, A, B=None, norms=None, out=None):
     # (2A)B' rather than 2(AB'): AB' with B = A may run as syrk, whose
     # rounding differs from gemm's
     K = np.matmul(2 * A, B.T, out=out)
-    if norms is None:
-        aa = (A * A).sum(axis=1)
-        bb = aa if symmetric else (B * B).sum(axis=1)
-    else:
-        aa, bb = norms
-    n, m = K.shape
-    scratch = np.empty((min(_SUM_ROWS, n), m))
-    for start in range(0, n, _SUM_ROWS):
-        stop = min(start + _SUM_ROWS, n)
-        first = start if symmetric else 0
-        part = K[start:stop, first:]
+    aa, bb = ((A * A).sum(axis=1), (B * B).sum(axis=1)) if norms is None else norms
+    scratch = np.empty((min(_SUM_ROWS, len(A)), len(B)))
+    for start in range(0, len(A), _SUM_ROWS):
+        part = K[start:start + _SUM_ROWS]
         # each entry is (aa_i + bb_j) - 2ab_ij, rounded as written
-        np.subtract(np.add(aa[start:stop, None], bb[None, first:],
-                           out=scratch[:stop - start, first:]), part, out=part)
+        np.subtract(np.add(aa[start:start + _SUM_ROWS, None], bb, out=scratch[:len(part)]),
+                    part, out=part)
         np.maximum(part, 0.0, out=part)
         part *= -spec.gamma
         np.exp(part, out=part)
-    if symmetric:
-        # gemm can round (i, j) and (j, i) differently, so the lower
-        # triangle is copied from the upper one rather than computed
-        for start in range(0, n, ROW_BLOCK):
-            stop = min(start + ROW_BLOCK, n)
-            for left in range(0, start, ROW_BLOCK):
-                K[start:stop, left:left + ROW_BLOCK] = \
-                    K[left:left + ROW_BLOCK, start:stop].T
-            for r in range(start + 1, stop):  # the diagonal block, row by row
-                K[r, start:r] = K[start:r, r]
     return K
 
 
@@ -142,23 +121,18 @@ class OcsvmModel:
 def _kernel_operator(kernel, X):
     """(matvec, rows): matvec(alpha) -> K alpha, and rows(i, j) -> rows i and j of K.
 
-    Up to KERNEL_BYTES, K is built once and both read it. Above it, one
-    buffer of KERNEL_BYTES // 8n rows (at least 2) is all the kernel held.
-    matvec evaluates K's upper part into it in blocks of ROW_BLOCK rows, or
-    of as many as it holds: each block, K[s:e, s:], is evaluated once and
-    feeds both g[s:e] and, transposed as K[e:, s:e], g[e:]. Between matvec
-    calls the buffer's rows are a least-recently-used cache of K's rows:
-    rows(i, j) evaluates only the rows it is missing, each alone as
+    One buffer of min(n, max(2, KERNEL_BYTES // 8n)) rows is all the kernel
+    held. matvec evaluates K's upper part into it in blocks of ROW_BLOCK
+    rows, or of as many as it holds: each block, K[s:e, s:], is evaluated
+    once and feeds both g[s:e] and, transposed as K[e:, s:e], g[e:]. Between
+    matvec calls the buffer's rows are a least-recently-used cache of K's
+    rows: rows(i, j) evaluates only the rows it is missing, each alone as
     kernel_matrix(kernel, X[i:i + 1], X), and its rows stay valid until the
     next call. matvec overwrites the buffer, so it empties the cache.
     """
     n = X.shape[0]
-    if 8 * n * n <= KERNEL_BYTES:
-        K = kernel_matrix(kernel, X)
-        # K is symmetric, so rows i and j are columns i and j, read contiguously
-        return (lambda alpha: K @ alpha), (lambda i, j: (K[i], K[j]))
     sq = (X * X).sum(axis=1)
-    slots = max(2, KERNEL_BYTES // (8 * n))
+    slots = min(n, max(2, KERNEL_BYTES // (8 * n)))
     step = min(ROW_BLOCK, slots)
     # every block and every cached row is a contiguous view of buf: matmul
     # into a strided slice of a 2-D buffer computes into a copy
@@ -283,7 +257,7 @@ def fit_ocsvm(X, nu, kernel):
     if not 0 < nu <= 1:
         raise ValueError("nu must lie in (0, 1]")
     if n < 2:
-        raise ValueError("need at least 2 rows")
+        raise DegenerateClass(f"a one-class SVM needs at least 2 rows, got {n}")
 
     C = 1.0 / (nu * n)
     matvec, rows = _kernel_operator(kernel, X)
@@ -347,7 +321,7 @@ def undersample_majority(train, nu, kind=SIGMOID, gamma="auto", coef0=0.0, param
     """
     majority = train.negatives()
     if majority.n_rows == 0 or train.n_positive == 0:
-        raise ValueError("train must contain both classes")
+        raise DegenerateClass("train must contain both classes")
     if params is None:
         params = fit_preprocess(majority)
     X = encode_for_kernel(majority, params)

@@ -8,6 +8,15 @@ from fingan.gan import GanConfig, train_gan
 GAN_SEEDS = (0, 1, 2)
 
 
+def gini(y):
+    """Gini impurity 2p(1 - p) of 0/1 labels, 0 for none: the oracle for
+    the trees' split scores."""
+    if len(y) == 0:
+        return 0.0
+    p = y.mean()
+    return float(2.0 * p * (1.0 - p))
+
+
 @pytest.fixture(scope="session")
 def bimodal_table():
     return bimodal_minority(256, seed=1)

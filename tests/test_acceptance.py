@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import GAN_SEEDS, encode_samples, encoded_moments
+from conftest import GAN_SEEDS, encode_samples, encoded_moments, gini
 from fingan import nn_core
 from fingan.classifiers import (
     ForestParams,
@@ -24,7 +24,6 @@ from fingan.classifiers import (
     fit_logistic,
     fit_svm_linear,
     fit_tree,
-    gini,
     logistic_objective,
     svm_objective,
 )
@@ -196,7 +195,7 @@ def test_ocsvm():
     X12 = np.random.default_rng(12).normal(size=(12, 2))
     kernel = KernelSpec("rbf", 1.0)
     model = fit_ocsvm(X12, 0.4, kernel)
-    K = kernel_matrix(kernel, X12)
+    K = kernel_matrix(kernel, X12, X12)
     a = _project(np.full(12, 1 / 12), 1.0 / (0.4 * 12))
     lr = 1.0 / np.abs(np.linalg.eigvalsh(K)).max()
     for _ in range(20_000):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import gini
 from fingan.classifiers import (
     FittedClassifier,
     ForestParams,
@@ -20,8 +21,6 @@ from fingan.classifiers import (
     fit_mlp_classifier,
     fit_svm_linear,
     fit_tree,
-    forest_vote,
-    gini,
     logistic_objective,
     svm_objective,
 )
@@ -475,20 +474,6 @@ class TestForest:
         per_tree = np.stack([t.predict_proba(X) for t in forest.params["trees"]])
         np.testing.assert_allclose(forest.predict_proba(X), per_tree.mean(axis=0))
 
-    def test_hand_tallied_vote(self):
-        # three stumps voting (1, 1, 0) -> majority 1; (0, 0, 1) -> 0
-        def stump(direction):
-            left = TreeNode(proba=0.0 if direction else 1.0, n_samples=1)
-            right = TreeNode(proba=1.0 if direction else 0.0, n_samples=1)
-            root = TreeNode(feature=0, threshold=0.0, left=left, right=right,
-                            proba=0.5, n_samples=2)
-            return FittedClassifier("tree", 1, {"root": root})
-
-        forest = FittedClassifier("forest", 1,
-                                  {"trees": [stump(True), stump(True), stump(False)]})
-        votes = forest_vote(forest, np.array([[1.0], [-1.0]]))
-        np.testing.assert_array_equal(votes, [1, 0])
-
     def test_batched_predictions_equal_per_row_walk(self):
         rng = np.random.default_rng(17)
         X = rng.normal(size=(200, 4))
@@ -497,8 +482,6 @@ class TestForest:
         per_tree = np.array([[per_row_proba(t.params["root"], row) for row in X]
                              for t in forest.params["trees"]])
         np.testing.assert_array_equal(forest.predict_proba(X), per_tree.mean(axis=0))
-        np.testing.assert_array_equal(forest_vote(forest, X),
-                                      ((per_tree >= 0.5).mean(axis=0) > 0.5).astype(int))
 
     def test_default_hundred_trees(self):
         p = ForestParams()

@@ -7,7 +7,7 @@ import pytest
 import fingan.ocsvm as ocsvm
 from fingan.data_model import (CATEGORICAL, NUMERIC, ColumnSpec, Schema, Table,
                                apply_preprocess, fit_preprocess)
-from fingan.errors import ConstantColumnWarning, SchemaMismatch
+from fingan.errors import ConstantColumnWarning, DegenerateClass, SchemaMismatch
 from fingan.fixtures import mixed_imbalanced
 from fingan.ocsvm import (
     GAP_TOL,
@@ -53,8 +53,9 @@ def brute_force_dual(K, nu, iters=20_000, lr=None):
 @functools.cache
 def brute_force_objective(kernel, n, nu):
     """1/2 a'Ka at brute_force_dual's optimum for test_matches_brute_force_small's
-    n-row fixture; computed once per case for the dense and streamed fits."""
-    K = kernel_matrix(kernel, np.random.default_rng(n).normal(size=(n, 2)))
+    n-row fixture; computed once per case for the default and streamed fits."""
+    X = np.random.default_rng(n).normal(size=(n, 2))
+    K = kernel_matrix(kernel, X, X)
     oracle = brute_force_dual(K, nu)
     return 0.5 * oracle @ K @ oracle
 
@@ -69,14 +70,14 @@ def naive_kernel(spec, A, B):
     return np.exp(-spec.gamma * np.maximum(sq, 0.0))
 
 
-def warm_start(K, nu):
-    """alpha = C on the floor(nu n) rows of least K 1/n (ties to the lower
-    index), the rest of the unit sum on the next one unless it is below
-    1e-15."""
-    n = K.shape[0]
+def warm_start(g0, nu):
+    """alpha = C on the floor(nu n) rows of least g0 = K 1/n (ties to the
+    lower index), the rest of the unit sum on the next one unless it is
+    below 1e-15."""
+    n = len(g0)
     C = 1.0 / (nu * n)
     k = int(nu * n)
-    order = np.argsort(K @ np.full(n, 1.0 / n), kind="stable")
+    order = np.argsort(g0, kind="stable")
     alpha = np.zeros(n)
     alpha[order[:k]] = C
     if k < n and 1.0 - k / (nu * n) > 1e-15:
@@ -84,14 +85,20 @@ def warm_start(K, nu):
     return alpha
 
 
+def fit_step(n):
+    """Rows per block of a fit's K alpha pass under the current KERNEL_BYTES:
+    the buffer's rows, min(n, max(2, KERNEL_BYTES // 8n)), up to ROW_BLOCK."""
+    return min(ROW_BLOCK, n, max(2, ocsvm.KERNEL_BYTES // (8 * n)))
+
+
 def column_update_fit(X, nu, kernel, start=None):
-    """The pairwise solver with its gradient updated from columns of K, from
-    start (alpha = 1/n by default)."""
+    """The pairwise solver with its gradient updated from rows of K, each
+    evaluated alone, from start (alpha = 1/n by default); the starting
+    gradient is reference_matvec's at the fit's block height."""
     n = X.shape[0]
     C = 1.0 / (nu * n)
-    K = kernel_matrix(kernel, X)
     alpha = np.full(n, 1.0 / n) if start is None else start.copy()
-    g = K @ alpha
+    g = reference_matvec(kernel, X, alpha, fit_step(n))
     obj = 0.5 * float(alpha @ g)
     history = [obj]
     while True:
@@ -105,7 +112,9 @@ def column_update_fit(X, nu, kernel, start=None):
         if gap < GAP_TOL:
             break
         lam_max = min(C - alpha[i], alpha[j])
-        d = K[i, i] + K[j, j] - 2 * K[i, j]
+        K_i = kernel_matrix(kernel, X[i:i + 1], X)[0]
+        K_j = kernel_matrix(kernel, X[j:j + 1], X)[0]
+        d = K_i[i] + K_j[j] - 2 * K_i[j]
         if d > 1e-15:
             lam = min(gap / d, lam_max)
         else:
@@ -115,7 +124,7 @@ def column_update_fit(X, nu, kernel, start=None):
             break
         alpha[i] += lam
         alpha[j] -= lam
-        g += lam * (K[:, i] - K[:, j])
+        g += lam * (K_i - K_j)
         obj += -lam * gap + 0.5 * lam * lam * d
         history.append(obj)
     margin = np.flatnonzero((alpha > 1e-8) & (alpha < C - 1e-8))
@@ -142,8 +151,7 @@ def fixture_rows(n_neg, seed):
 
 
 class TestKernelMatrix:
-    # 40 rows fit in one row block; 300 = 256 + 44 rows do not divide into
-    # blocks, and there OpenBLAS's gemm rounds some (i, j) and (j, i) apart
+    # 300 = 18 * 16 + 12 rows do not divide into rbf scratch blocks
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
     @pytest.mark.parametrize("n, m", [(40, 40), (300, 300), (300, 77), (40, 300)])
     def test_equals_naive_formula(self, kernel, n, m):
@@ -154,58 +162,27 @@ class TestKernelMatrix:
                                       naive_kernel(kernel, A, B))
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
-    @pytest.mark.parametrize("n", [40, 2 * ROW_BLOCK, 300])
-    def test_square_is_upper_triangle_mirrored(self, kernel, n):
-        A = np.random.default_rng(n).normal(size=(n, 5))
-        naive = naive_kernel(kernel, A, A)
-        upper = np.triu(np.ones((n, n), dtype=bool))
-        K = kernel_matrix(kernel, A)
-        np.testing.assert_array_equal(K, np.where(upper, naive, naive.T))
-
-    @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
-    @pytest.mark.parametrize("n_neg", [60, 300])
-    def test_rows_equal_columns_on_fixtures(self, kernel, n_neg):
-        K = kernel_matrix(kernel, fixture_rows(n_neg, n_neg))
-        for i in range(K.shape[0]):
-            assert np.array_equal(K[i], K[:, i])
-
-    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
-    @pytest.mark.parametrize("m", [None, 700])
+    @pytest.mark.parametrize("m", [300, 700])
     def test_traced_peak_is_one_kernel(self, kernel, m):
         rng = np.random.default_rng(11)
         A = rng.normal(size=(1000, 6))
-        B = None if m is None else rng.normal(size=(m, 6))
-        width = 1000 if m is None else m
+        B = rng.normal(size=(m, 6))
         tracemalloc.start()
         try:
             K = kernel_matrix(kernel, A, B)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert K.shape == (1000, width)
-        assert peak < 1.1 * K.nbytes + 8 * ROW_BLOCK * width
-
-    def test_square_kernel_mirrored_in_place(self):
-        """Mirroring a diagonal block allocates nothing of the block's size,
-        so a 300-row dense rbf kernel (two diagonal blocks) peaks near its
-        own size: 1.21x, the rest being the rbf scratch rows and numpy's
-        ufunc buffers on strided views. A tril_indices gather peaked at 2.15x."""
-        A = np.random.default_rng(13).normal(size=(300, 6))
-        tracemalloc.start()
-        try:
-            K = kernel_matrix(KernelSpec("rbf", 0.3), A)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * K.nbytes
+        assert K.shape == (1000, m)
+        assert peak < 1.1 * K.nbytes + 8 * ROW_BLOCK * m
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
-    @pytest.mark.parametrize("m", [None, 700])
+    @pytest.mark.parametrize("m", [300, 700])
     def test_into_out_allocates_nothing_of_its_size(self, kernel, m):
         rng = np.random.default_rng(12)
         A = rng.normal(size=(1000, 6))
-        B = None if m is None else rng.normal(size=(m, 6))
-        out = np.empty((1000, 1000 if m is None else m))
+        B = rng.normal(size=(m, 6))
+        out = np.empty((1000, m))
         tracemalloc.start()
         try:
             K = kernel_matrix(kernel, A, B, out=out)
@@ -256,7 +233,7 @@ class TestFit:
         X = np.random.default_rng(n).normal(size=(n, 2))
         nu = 0.4
         model = fit_ocsvm(X, nu, kernel)
-        K = kernel_matrix(kernel, X)
+        K = kernel_matrix(kernel, X, X)
         ours = 0.5 * model.alpha @ K @ model.alpha
         assert ours <= brute_force_objective(kernel, n, nu) + 1e-4
 
@@ -265,9 +242,13 @@ class TestFit:
                              ids=lambda k: k.kind)
     @pytest.mark.parametrize("seed", [0, 4])
     def test_row_updates_equal_column_updates(self, kernel, seed):
-        X = np.random.default_rng(seed).normal(size=(300, 3))
+        n = 300
+        X = np.random.default_rng(seed).normal(size=(n, 3))
         model = fit_ocsvm(X, 0.3, kernel)
-        start = warm_start(kernel_matrix(kernel, X), 0.3) if kernel.kind == "rbf" else None
+        start = None
+        if kernel.kind == "rbf":
+            uniform = np.full(n, 1.0 / n)
+            start = warm_start(reference_matvec(kernel, X, uniform, fit_step(n)), 0.3)
         alpha, rho, history = column_update_fit(X, 0.3, kernel, start)
         np.testing.assert_array_equal(model.alpha, alpha)
         np.testing.assert_array_equal(model.support_indices, np.flatnonzero(alpha > 1e-8))
@@ -294,17 +275,13 @@ class TestFit:
 
 @pytest.fixture
 def streamed(monkeypatch):
-    """Every fit streams its kernel rows, whatever its size, through the
-    smallest row cache (2 rows)."""
+    """Every fit, whatever its size, holds the smallest row cache (2 rows)."""
     monkeypatch.setattr(ocsvm, "KERNEL_BYTES", 0)
 
 
 @pytest.mark.usefixtures("streamed")
 class TestFitStreamed(TestFit):
-    """TestFit's behavioural tests on the streamed path."""
-
-    # the column-update oracle replays the dense path bit for bit
-    test_row_updates_equal_column_updates = None
+    """TestFit's tests with a 2-row cache."""
 
 
 class TestStreamedPath:
@@ -312,6 +289,8 @@ class TestStreamedPath:
     @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
     @pytest.mark.parametrize("n_neg", [60, 300])
     def test_same_support_as_dense(self, monkeypatch, kernel, n_neg, nu):
+        """The default buffer, which holds all n rows at these sizes, against
+        the 2-row cache."""
         X = fixture_rows(n_neg, n_neg)
         dense = fit_ocsvm(X, nu, kernel)
         monkeypatch.setattr(ocsvm, "KERNEL_BYTES", 0)
@@ -347,6 +326,24 @@ class TestStreamedPath:
             tracemalloc.stop()
         assert not model.stalled
         assert peak < ocsvm.KERNEL_BYTES + 32 * 8 * n
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
+    def test_small_fit_holds_at_most_its_dense_kernel(self, kernel):
+        """Up to 512 rows the buffer is n rows, no bigger than the n x n
+        kernel: a 300-row fit holds 720 kB, not the 2 MiB budget."""
+        n = 300
+        assert 8 * n * n < ocsvm.KERNEL_BYTES
+        X = np.random.default_rng(18).normal(size=(n, 6))
+        fit_ocsvm(X[:20], 0.5, kernel)  # lazy allocations are not the fit's
+        tracemalloc.start()
+        try:
+            model = fit_ocsvm(X, 0.5, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not model.stalled
+        # the n-row buffer, the fit's length-n vectors and the rbf scratch rows
+        assert peak < 8 * n * n + 64 * 8 * n
 
     @pytest.mark.parametrize("kernel", KERNELS[:2], ids=lambda k: k.kind)
     def test_blocks_sized_from_byte_budget(self, monkeypatch, kernel):
@@ -425,7 +422,8 @@ class TestStreamedPath:
 
 @pytest.fixture(params=["dense", "streamed"])
 def path(request, monkeypatch):
-    """Each test runs once with the dense kernel and once streamed."""
+    """Each test runs once with the default buffer ("dense": it holds every
+    row of K up to 512 rows) and once with the 2-row cache."""
     if request.param == "streamed":
         monkeypatch.setattr(ocsvm, "KERNEL_BYTES", 0)
     return request.param
@@ -448,7 +446,7 @@ class TestWarmStart:
     def test_support_differs_only_on_the_margin(self, seed, gamma, nu):
         X = fixture_rows(300, seed)
         kernel = KernelSpec("rbf", gamma)
-        K = kernel_matrix(kernel, X)
+        K = kernel_matrix(kernel, X, X)
         cold, cold_rho, cold_history = column_update_fit(X, nu, kernel)
         model = fit_ocsvm(X, nu, kernel)
         assert model.objective_history[-1] == pytest.approx(cold_history[-1], rel=1e-6)
@@ -569,8 +567,13 @@ class TestUndersample:
 
     def test_rejects_single_class(self):
         table = mixed_imbalanced(30, 5, seed=8).negatives()
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateClass, match="both classes"):
             undersample_majority(table, 0.5)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_fail_typed(self, n):
+        with pytest.raises(DegenerateClass, match=f"at least 2 rows, got {n}"):
+            fit_ocsvm(np.ones((n, 3)), 0.5, KernelSpec("rbf", 0.5))
 
 
 @pytest.mark.parametrize("gamma", [float("inf"), float("nan")])

@@ -10,7 +10,7 @@ import fingan.ocsvm as ocsvm
 import fingan.pipeline as pipeline
 from fingan.classifiers import ForestParams, LogisticParams, MlpClfParams, SvmParams, TreeParams
 from fingan.data_model import Schema, fit_preprocess, stratified_kfold
-from fingan.errors import AuditMismatch, NonFiniteSample, SolverStallWarning
+from fingan.errors import AuditMismatch, DegenerateClass, NonFiniteSample, SolverStallWarning
 from fingan.fixtures import mixed_imbalanced, table_to_csv
 from fingan.ocsvm import encode_for_kernel
 from fingan.pipeline import (
@@ -443,6 +443,14 @@ class TestRunKfold:
         assert not report["t_tests"][best]["significant"]
         for res in report["results"].values():
             assert len(res["folds"]) == 3
+
+    def test_one_row_majority_fails_typed(self, tmp_path):
+        # 2 majority rows in 2 folds: each fold trains its OCSVM on one row
+        config = make_config(
+            tmp_path, mixed_imbalanced(2, 5), split={"mode": "kfold", "k": 2},
+            balancer={"oversampler": "none", "ocsvm": {"enabled": True}})
+        with pytest.raises(DegenerateClass, match="at least 2 rows, got 1"):
+            run_experiment(config)
 
     def test_no_validation_leakage(self, tmp_path, monkeypatch):
         # sentinel: every table handed to a classifier fit must be disjoint
